@@ -14,7 +14,7 @@ import sys
 from .series import PrecisionError, QSeries, SeriesError, UsageError
 from .cache import ENV_VAR, SeriesCache
 from .exprs import evaluate, normalize
-from .halfint import named_plus_form, plus_basis
+from .halfint import PLUS_FORM_NAMES, named_plus_form, plus_basis
 from .lifts import phi, psi
 from .quasi import (
     parse_element,
@@ -29,8 +29,6 @@ EXIT_PASS = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
-
-_PLUS_NAMES = {"g0", "g1", "g2", "h0", "f4a", "f4b", "f6half"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,31 +113,35 @@ def _emit_report(report: VerificationReport, args) -> int:
     return EXIT_PASS if report.verdict == "PASS" else EXIT_COUNTEREXAMPLE
 
 
-def _load_source_series(source: str, k: int | None, prec: int, args):
-    """Resolve a lift/unlift source: plus-form name, basis element, file."""
-    if source in _PLUS_NAMES:
-        form = named_plus_form(source, prec)
-        return form.series, (form.k if k is None else k)
-    if source.startswith("basis:"):
-        series = evaluate(source, prec)
-        if k is None:
-            raise UsageError("basis elements need --k for the lift weight")
-        return series, k
+def _read_series_file(path: str):
+    """(series, embedded k or None) from a JSON series file, which holds a
+    series or {"series": ..., "k": ...}; None when the file cannot be opened."""
     try:
-        fh = open(source, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8")
     except OSError:
-        series = evaluate(source, prec)
-        if k is None:
-            raise UsageError(f"source {source!r} needs an explicit --k") from None
-        return series, k
+        return None
     with fh:
         try:
             data = json.load(fh)
-            meta_k = data.get("k") if isinstance(data, dict) else None
-            series_dict = data.get("series", data) if isinstance(data, dict) else data
-            series = QSeries.from_json_dict(series_dict)
+            if isinstance(data, dict):
+                return QSeries.from_json_dict(data.get("series", data)), data.get("k")
+            return QSeries.from_json_dict(data), None
         except (ValueError, KeyError, TypeError) as exc:
-            raise UsageError(f"malformed series file {source!r}: {exc}") from None
+            raise UsageError(f"malformed series file {path!r}: {exc}") from None
+
+
+def _load_source_series(source: str, k: int | None, prec: int):
+    """Resolve a lift source: plus-form name, JSON file, or expression."""
+    if source in PLUS_FORM_NAMES:
+        form = named_plus_form(source, prec)
+        return form.series, (form.k if k is None else k)
+    loaded = _read_series_file(source)
+    if loaded is None:
+        series = evaluate(source, prec)
+        if k is None:
+            raise UsageError(f"source {source!r} needs an explicit --k")
+        return series, k
+    series, meta_k = loaded
     use_k = k if k is not None else meta_k
     if use_k is None:
         raise UsageError("JSON input needs --k or an embedded k field")
@@ -151,9 +153,11 @@ def _cmd_expand(args) -> int:
     cache = SeriesCache(args.cache_dir, enabled=not args.no_cache)
     key = cache.key(f"expand/1|{normalize(args.expression)}|{prec}|{args.prec is None}")
     hit = cache.get(key)
-    if hit is not None:
-        series = QSeries.from_json_dict(hit)
-    else:
+    try:
+        series = None if hit is None else QSeries.from_json_dict(hit)
+    except (KeyError, TypeError, ValueError, SeriesError):
+        series = None  # an entry that does not decode is a miss; overwrite it
+    if series is None:
         series = evaluate(args.expression, prec, trim=args.prec is None)
         cache.put(key, series.to_json_dict())
     _emit_series(series, args)
@@ -178,26 +182,14 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    series, k = _load_source_series(args.source, args.k, args.prec, args)
+    series, k = _load_source_series(args.source, args.k, args.prec)
     _emit_series(psi(series, k), args)
     return EXIT_PASS
 
 
 def _cmd_unlift(args) -> int:
-    try:
-        fh = open(args.source, "r", encoding="utf-8")
-    except OSError:
-        series = evaluate(args.source, args.prec)
-    else:
-        with fh:
-            try:
-                data = json.load(fh)
-                series_dict = data.get("series", data) if isinstance(data, dict) else data
-                series = QSeries.from_json_dict(series_dict)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise UsageError(
-                    f"malformed series file {args.source!r}: {exc}"
-                ) from None
+    loaded = _read_series_file(args.source)
+    series = evaluate(args.source, args.prec) if loaded is None else loaded[0]
     out = phi(series, args.k)
     _emit_series(out, args)
     return EXIT_PASS

@@ -13,18 +13,20 @@ Grammar (whitespace insensitive)::
 
 NAME covers the classical forms (E2, E4, E6, Delta, j, theta, E24, F4a, F4b,
 F6, LS8, Triple8, HK_num1, HK_num2) and the half-integral ones (g0, g1, g2,
-h0, f4a, f4b, f6half).  Evaluation retries with growing working precision
-until the requested window is covered; purely polynomial inputs (like ``q``)
-may honestly return a smaller window.
+h0, f4a, f4b, f6half).  An expression has no static valuation, so evaluation
+measures what its inverses lose: one pass at the requested window, and if that
+comes up d exponents short, one pass widened by d.  The loss is fixed by the
+valuations of the subexpressions, not by the working window, so a second
+shortfall is a :class:`PrecisionError`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .series import PrecisionError, QSeries, UsageError
+from .series import QSeries, UsageError
 from .forms import FormName, named_form, quasi_monomial
-from .halfint import named_plus_form, plus_basis
+from .halfint import PLUS_FORM_NAMES, named_plus_form, plus_basis
 
 
 class ParseError(UsageError):
@@ -43,7 +45,6 @@ _TOKEN_RE = re.compile(
 )
 
 _FORM_NAMES = {f.value for f in FormName}
-_PLUS_NAMES = {"g0", "g1", "g2", "h0", "f4a", "f4b", "f6half"}
 _FUNCTIONS = {"delta", "antiderivative", "dilate", "f"}
 
 
@@ -173,7 +174,7 @@ class _Parser:
                     arg = self._signed_int()
                 self.expect_op(")")
                 return (val, inner, arg)
-            if val in _FORM_NAMES or val in _PLUS_NAMES:
+            if val in _FORM_NAMES or val in PLUS_FORM_NAMES:
                 return ("form", val)
             raise ParseError(f"unknown name {val!r} at position {pos}")
         raise ParseError(f"unexpected token at position {pos}")
@@ -191,7 +192,7 @@ def _eval(node, work: int) -> QSeries:
         return QSeries.monomial(1, 1, max(work, 1))
     if op == "form":
         name = node[1]
-        if name in _PLUS_NAMES:
+        if name in PLUS_FORM_NAMES:
             return named_plus_form(name, work).series
         return named_form(name, work)
     if op == "monomial":
@@ -234,22 +235,14 @@ def _trim_trailing_zeros(f: QSeries) -> QSeries:
 
 
 def evaluate(text: str, prec: int, trim: bool = False) -> QSeries:
-    """Evaluate an expression so its window covers q^prec when possible."""
+    """Evaluate an expression through q^prec (PrecisionError when out of reach)."""
     ast = parse_expression(text)
-    slack = 0
-    last = None
-    for _ in range(6):
-        out = _eval(ast, prec + slack)
-        if out.prec >= prec:
-            result = out.truncate(prec)
-            return _trim_trailing_zeros(result) if trim else result
-        if last is not None and out.prec == last:
-            # widening the working precision no longer helps: the expression
-            # itself carries only finitely many known exponents (e.g. "q")
-            return _trim_trailing_zeros(out) if trim else out
-        last = out.prec
-        slack = max(16, slack * 4)
-    raise PrecisionError(f"expression does not reach precision {prec}")
+    out = _eval(ast, prec)
+    if out.prec < prec:
+        # widen by the shortfall; the q leaf works through at least q^1
+        out = _eval(ast, max(prec, 1) + prec - out.prec)
+    result = out.truncate(prec)
+    return _trim_trailing_zeros(result) if trim else result
 
 
 def normalize(text: str) -> str:

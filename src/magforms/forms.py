@@ -4,9 +4,15 @@ the level-4 weight-2 form E_{2,4}, quasi-modular monomials E2^a E4^b E6^c,
 and the named meromorphic forms used by the verification suite.
 
 Every constructor returns a series whose window is exactly [lead, prec] for
-the requested prec; internal computations run with enough slack to make that
-honest.  Two independently computed expansions back the discriminant and
-E_{2,4}; a mismatch aborts construction.
+the requested prec.  Working precision follows one rule, read off the
+valuation rules in :mod:`magforms.series`: a constructor works at the
+requested window plus the exponents its inverses lose, and the final
+``truncate``, which refuses to extend a window, checks that the window was
+reached.  The named quotients lose nothing: F4a, F4b and F6 divide by powers
+of E4 and E6 (valuation 0), and the j-quotients divide by powers of
+polynomials in j, which gains one or two exponents.  Two independently
+computed expansions back the discriminant and E_{2,4}; a mismatch aborts
+construction.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from functools import lru_cache
 from math import isqrt
 
 from .series import (
-    PrecisionError,
     QSeries,
     SeriesError,
     UsageError,
@@ -160,17 +165,6 @@ def quasi_monomial(a: int, b: int, c: int, prec: int) -> QSeries:
     return out.truncate(prec)
 
 
-def _run_with_slack(builder, prec: int, start: int = 8, tries: int = 5) -> QSeries:
-    """Evaluate builder(workprec) until the result covers `prec`."""
-    slack = start
-    for _ in range(tries):
-        out = builder(prec + slack)
-        if out.prec >= prec:
-            return out.truncate(prec)
-        slack *= 4
-    raise PrecisionError(f"could not reach precision {prec} (last slack {slack})")
-
-
 def constant_series(value, prec: int) -> QSeries:
     return QSeries(0, [value] + [0] * prec)
 
@@ -233,23 +227,20 @@ def named_form(name, prec: int) -> QSeries:
         return theta(prec)
     if name is FormName.E24:
         return e24(prec)
+    # the quotients lose no exponents, so they are built at the window itself
+    # (at least q^1, which Delta and j need); truncate rejects a lead above prec
+    work = max(prec, 1)
     if name is FormName.F4A:
-        return _run_with_slack(
-            lambda p: discriminant(p) * eisenstein(4, p).inverse() ** 2, prec
-        )
-    if name is FormName.F4B:
-        return _run_with_slack(
-            lambda p: eisenstein(4, p) * discriminant(p) * eisenstein(6, p).inverse() ** 2,
-            prec,
-        )
-    if name is FormName.F6:
-        return _run_with_slack(
-            lambda p: eisenstein(6, p) * discriminant(p) * eisenstein(4, p).inverse() ** 3,
-            prec,
-        )
-    if name in _J_FORM_DATA:
-        return _run_with_slack(lambda p: _build_j_quotient(name, p), prec, start=16)
-    raise UsageError(f"unhandled form name {name}")
+        out = discriminant(work) * eisenstein(4, work).inverse() ** 2
+    elif name is FormName.F4B:
+        out = eisenstein(4, work) * discriminant(work) * eisenstein(6, work).inverse() ** 2
+    elif name is FormName.F6:
+        out = eisenstein(6, work) * discriminant(work) * eisenstein(4, work).inverse() ** 3
+    elif name in _J_FORM_DATA:
+        out = _build_j_quotient(name, work)
+    else:
+        raise UsageError(f"unhandled form name {name}")
+    return out.truncate(prec)
 
 
 # ----------------------------------------------------------------------

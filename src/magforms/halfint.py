@@ -281,20 +281,19 @@ def _pool_descriptors(k: int, s_max: int) -> list[tuple[int, int, int]]:
 
 
 def _pool_element(a: int, b: int, s: int, prec: int) -> QSeries:
-    """theta^a * E_{2,4}^b / Delta(4tau)^s, known through at least `prec`."""
-    slack = 16
-    for _ in range(4):
-        work = prec + slack
-        out = theta(work) ** a if a else QSeries.one(work)
-        if b:
-            out = out * e24(work) ** b
-        if s:
-            d4 = discriminant(work // 4 + 3).substitute_power(4)
-            out = out * d4.inverse() ** s
-        if out.prec >= prec:
-            return out.truncate(prec)
-        slack *= 4
-    raise PrecisionError("pool element construction fell short of target precision")
+    """theta^a * E_{2,4}^b / Delta(4tau)^s through `prec`.
+
+    1/Delta(4tau)^s has valuation -4s, so the product loses at most 4s
+    exponents of its working window.
+    """
+    work = prec + 4 * s
+    out = theta(work) ** a
+    if b:
+        out = out * e24(work) ** b
+    if s:
+        d4 = discriminant(work // 4 + 3).substitute_power(4)
+        out = out * d4.inverse() ** s
+    return out.truncate(prec)
 
 
 def _seed_combination(k: int, m: int, s_max: int):
@@ -429,16 +428,6 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
 # ----------------------------------------------------------------------
 
 
-def _with_target(builder, prec: int) -> QSeries:
-    slack = 16
-    for _ in range(5):
-        out = builder(prec + slack)
-        if out.prec >= prec:
-            return out.truncate(prec)
-        slack *= 4
-    raise PrecisionError(f"named plus form fell short of precision {prec}")
-
-
 def _sub4(series_builder, work: int) -> QSeries:
     return series_builder(work // 4 + 2).substitute_power(4)
 
@@ -448,22 +437,19 @@ def _g0_series(prec: int) -> QSeries:
     return (th * (th**4 - 20 * e24(prec))).truncate(prec)
 
 
+# g1, g2 and h0 each carry one factor of valuation -4, 1/Delta(4tau) or
+# j(4tau), so they are built at prec + 4 and lose exactly those 4 exponents.
 def _g1_series(prec: int) -> QSeries:
-    def build(work: int) -> QSeries:
-        e4_4 = _sub4(lambda p: eisenstein(4, p), work)
-        e6_4 = _sub4(lambda p: eisenstein(6, p), work)
-        d4 = _sub4(discriminant, work)
-        return theta(work) * e4_4**2 * e6_4 * d4.inverse()
-
-    return _with_target(build, prec)
+    work = prec + 4
+    e4_4 = _sub4(lambda p: eisenstein(4, p), work)
+    e6_4 = _sub4(lambda p: eisenstein(6, p), work)
+    d4 = _sub4(discriminant, work)
+    return (theta(work) * e4_4**2 * e6_4 * d4.inverse()).truncate(prec)
 
 
 def _g2_series(prec: int) -> QSeries:
-    def build(work: int) -> QSeries:
-        j4 = _sub4(j_invariant, work)
-        return _g0_series(work) * j4
-
-    return _with_target(build, prec)
+    work = prec + 4
+    return (_g0_series(work) * _sub4(j_invariant, work)).truncate(prec)
 
 
 def _f3_series(prec: int) -> QSeries:
@@ -481,15 +467,13 @@ def _f3_series(prec: int) -> QSeries:
 
 
 def _h0_series(prec: int) -> QSeries:
-    def build(work: int) -> QSeries:
-        th = theta(work)
-        f = e24(work)
-        e6_4 = _sub4(lambda p: eisenstein(6, p), work)
-        d4 = _sub4(discriminant, work)
-        main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * e6_4 * d4.inverse()
-        return main + 56 * th
-
-    return _with_target(build, prec)
+    work = prec + 4
+    th = theta(work)
+    f = e24(work)
+    e6_4 = _sub4(lambda p: eisenstein(6, p), work)
+    d4 = _sub4(discriminant, work)
+    main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * e6_4 * d4.inverse()
+    return (main + 56 * th).truncate(prec)
 
 
 _NAMED_BUILDERS = {
@@ -498,6 +482,10 @@ _NAMED_BUILDERS = {
     "g2": (2, _g2_series),
     "h0": (0, _h0_series),
 }
+
+
+# every name named_plus_form accepts
+PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS) | {"f4a", "f4b", "f6half"}
 
 
 @lru_cache(maxsize=None)

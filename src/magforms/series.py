@@ -15,6 +15,16 @@ Precision propagates pessimistically:
 * the inverse of a series with valuation ``v`` is known through
   ``f.prec - 2*v``.
 
+These rules are also the one working-precision rule of the package: they fix,
+before anything is computed, how many exponents a construction loses (a
+factor of valuation ``-w < 0`` costs the other factor ``w`` exponents, and
+inverting a series of valuation ``v > 0`` costs ``2*v``).  A constructor
+works at the requested window plus that loss and ends with
+:meth:`QSeries.truncate`, which refuses to extend a window, so a wrong count
+raises :class:`PrecisionError` instead of returning a short series.  User
+expressions, which have no static valuation, measure the loss on one pass and
+widen by it once (:func:`magforms.exprs.evaluate`).
+
 Multiplication uses Kronecker substitution: coefficient lists are cleared of
 denominators, packed into one huge integer, and multiplied with gmpy2 (GMP)
 when available, falling back to Python ints otherwise.
@@ -29,7 +39,7 @@ from typing import Iterable, Sequence, Union
 
 try:
     from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a normal install here
+except ImportError:  # pure-int fallback: same results, several times slower
     _mpz = int
 
 

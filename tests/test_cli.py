@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from magforms.cache import SeriesCache
-from magforms.exprs import ParseError, evaluate, normalize, parse_expression
+from magforms.exprs import ParseError, _eval, evaluate, normalize, parse_expression
 from magforms.forms import eisenstein, named_form
-from magforms.series import QSeries
+from magforms.series import DomainError, QSeries, UsageError
 
 
 def run_cli(*args, env_extra=None):
@@ -63,6 +63,36 @@ def test_expression_operators():
     assert scaled.coefficient(0) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize(
+    "text, prec, lead",
+    [
+        ("1/Delta^3", 1, -3),
+        ("1/Delta^3", 40, -3),
+        ("1/(E4-1)", 1, -1),
+        ("1/(E4-1)", 40, -1),
+        ("q^-1", 0, -1),
+        ("q^-1", 1, -1),
+        ("q^-1", 40, -1),
+    ],
+)
+def test_evaluate_widens_once_by_the_shortfall(text, prec, lead):
+    # a pass at the requested window comes up short; the widened pass covers it
+    assert _eval(parse_expression(text), prec).prec < prec
+    out = evaluate(text, prec)
+    assert (out.lead, out.prec) == (lead, prec)
+    assert out == evaluate(text, prec + 5).truncate(prec)
+
+
+def test_evaluate_shortfall_at_window_zero():
+    # the q leaf works through q^1 at least, so the widened pass starts there
+    assert evaluate("q^-1", 0).to_json() == '{"coeffs":["1","0"],"lead":-1,"prec":0}'
+    # Delta cannot be built at window 0, and E4 - 1 is zero on it
+    with pytest.raises(UsageError):
+        evaluate("1/Delta^3", 0)
+    with pytest.raises(DomainError):
+        evaluate("1/(E4-1)", 0)
+
+
 def test_parse_errors():
     for bad in ("E4 +", "nope", "f(1,2)", "delta(", "q q"):
         with pytest.raises(ParseError):
@@ -96,6 +126,21 @@ def test_cache_hit_equals_recomputation(tmp_path):
     nocache = run_cli("expand", "Delta/E4^2", "--prec", "30", "--no-cache", env_extra=env)
     assert first.returncode == second.returncode == nocache.returncode == 0
     assert first.stdout == second.stdout == nocache.stdout
+
+
+@pytest.mark.parametrize("entry", ["{}", "[1,2]", '{"lead":1,"prec":0,"coeffs":[]}'])
+def test_cli_expand_repairs_corrupt_cache_entry(tmp_path, entry):
+    env = {"MAGFORMS_CACHE_DIR": str(tmp_path)}
+    args = ("expand", "F4a", "--prec", "30")
+    assert run_cli(*args, env_extra=env).returncode == 0
+    (entry_file,) = tmp_path.glob("*.json")
+    good = entry_file.read_text()
+    entry_file.write_text(entry)
+    proc = run_cli(*args, env_extra=env)
+    nocache = run_cli(*args, "--no-cache", env_extra=env)
+    assert proc.returncode == nocache.returncode == 0
+    assert proc.stdout == nocache.stdout
+    assert entry_file.read_text() == good
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +220,9 @@ def test_cli_malformed_series_file(tmp_path):
     bad.write_text('{"not": "a series"}')
     proc = run_cli("unlift", str(bad), "--k", "2")
     assert proc.returncode == 2
+    lifted = run_cli("lift", str(bad), "--k", "2")
+    assert lifted.returncode == 2
+    assert "malformed series file" in lifted.stderr
 
 
 def test_cli_basis_metadata():
@@ -215,6 +263,9 @@ def test_cli_basis_file_feeds_lift(tmp_path):
 def test_cli_lift_precision_shortfall_exit_code():
     proc = run_cli("lift", "basis:k=2,m=7", "--k", "2", "--prec", "0")
     assert proc.returncode == 3
+    # F4a starts at q^1, so window 0 is a shortfall (3), not a usage error (2)
+    expanded = run_cli("expand", "F4a", "--prec", "0", "--no-cache")
+    assert expanded.returncode == 3
 
 
 def test_cli_reduce():
