@@ -25,15 +25,24 @@ raises :class:`PrecisionError` instead of returning a short series.  User
 expressions, which have no static valuation, measure the loss on one pass and
 widen by it once (:func:`magforms.exprs.evaluate`).
 
-Multiplication uses Kronecker substitution: coefficient lists are cleared of
-denominators, packed into one huge integer, and multiplied with gmpy2 (GMP)
-when available, falling back to Python ints otherwise.
+Multiplication is a short product: :func:`_conv_int` returns exactly the
+coefficients a product keeps (``mul`` its window, the Newton inverse each
+step's half).  Coefficient lists are cleared of denominators and multiplied
+by Kronecker substitution: each list is packed into one huge integer, one
+coefficient per slot, and the product is multiplied with gmpy2 (GMP) when
+available and with Python ints otherwise.  The slot width is bounded by what
+is read back: the largest bits(a_i) + bits(b_j) over i + j < n, plus
+bits(min(la, lb)) + 2.  When one operand's coefficients are more than four
+times as wide as the other's, the wide operand is split into limbs of about
+twice the narrow width, one narrow product per limb, because CPython's
+Karatsuba makes that cheaper than one product padded to the wide width.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -66,6 +75,7 @@ class AntiderivativeError(DomainError):
 Scalar = Union[int, Fraction]
 
 _SCHOOLBOOK_CUTOFF = 24
+_LOPSIDED_RATIO = 4
 
 
 def _as_fraction(x) -> Fraction:
@@ -89,63 +99,109 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _conv_int(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact convolution of two integer coefficient lists."""
+def _conv_int(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """The first *n* coefficients of the product of two integer lists.
+
+    The result is truncated, or padded with zeros, to exactly *n* entries.
+    Short operands go through the schoolbook loop; an operand whose largest
+    coefficient is much wider than the other's is split into limbs
+    (:func:`_conv_split`); everything else is one Kronecker product.
+
+    Kronecker substitution packs each list into one integer, a coefficient
+    per slot of ``width`` bits, and multiplies once.  Signed coefficients are
+    packed with an offset of 2^(width-1) per slot, written as a repeated
+    byte pattern so that no big division is needed.  Since
+    |c_k| <= min(la, lb) * max_{i+j=k} |a_i||b_j|, a slot of
+    ``max_{i+j<n} (bits(a_i) + bits(b_j)) + bits(min(la, lb)) + 2`` bits
+    holds every coefficient that is read back; the bound is never below
+    either operand's largest bit length + 2, so every input fits its slot
+    too.  The product is read modulo 2^(width*n): the slots at and above
+    *n* may overflow, but carries and borrows only move upward.  When
+    ``a is b`` the list is packed once and squared.
+    """
+    square = a is b
+    a = a[:n]
+    b = a if square else b[:n]
     la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return []
+    out = [0] * n
+    if not la or not lb:
+        return out
     if min(la, lb) <= _SCHOOLBOOK_CUTOFF:
         if la > lb:
-            a, b, la, lb = b, a, lb, la
-        out = [0] * (la + lb - 1)
+            a, b = b, a
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for k, bj in enumerate(b[: n - i], i):
                     if bj:
-                        out[i + j] += ai * bj
+                        out[k] += ai * bj
         return out
-    return _conv_kronecker(a, b)
-
-
-def _conv_kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Convolution by packing both lists into single big integers.
-
-    Signed digits are handled with an offset encoding: each digit is shifted
-    by 2^(width-1) while packing, represented as a repeated byte pattern so no
-    big division is ever needed, and the balanced digits are recovered after
-    the product.
-    """
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
+    abits = [x.bit_length() for x in a]
+    bbits = abits if square else [x.bit_length() for x in b]
+    amax, bmax = max(abits), max(bbits)
     if amax == 0 or bmax == 0:
-        return [0] * (len(a) + len(b) - 1)
-    need = amax.bit_length() + bmax.bit_length() + min(len(a), len(b)).bit_length() + 2
-    nbytes = (need + 7) // 8 + 1
+        return out
+    log = min(la, lb).bit_length()
+    if amax > _LOPSIDED_RATIO * (bmax + log):
+        return _conv_split(a, abits, b, n, 2 * (bmax + log))
+    if bmax > _LOPSIDED_RATIO * (amax + log):
+        return _conv_split(b, bbits, a, n, 2 * (amax + log))
+    bprefix = list(accumulate(bbits, max))
+    need = max(x + bprefix[min(lb, n - i) - 1] for i, x in enumerate(abits)) + log + 2
+    nbytes = (need + 7) // 8
     width = 8 * nbytes
     off = 1 << (width - 1)
     pattern = bytes(nbytes - 1) + b"\x80"  # little-endian bytes of `off`
 
     def pack(cs: Sequence[int]):
-        buf = bytearray(len(cs) * nbytes)
-        for i, c in enumerate(cs):
-            buf[i * nbytes : (i + 1) * nbytes] = (c + off).to_bytes(nbytes, "little")
-        val = int.from_bytes(bytes(buf), "little")
-        return _mpz(val) - _mpz(int.from_bytes(pattern * len(cs), "little"))
+        raw = b"".join((c + off).to_bytes(nbytes, "little") for c in cs)
+        return _mpz(int.from_bytes(raw, "little") - int.from_bytes(pattern * len(cs), "little"))
 
-    prod = pack(a) * pack(b)
-    length = len(a) + len(b) - 1
-    lifted = int(prod + _mpz(int.from_bytes(pattern * length, "little")))
-    raw = lifted.to_bytes(length * nbytes + 16, "little")
+    pa = pack(a)
+    prod = pa * pa if square else pa * pack(b)
+    lifted = (prod + int.from_bytes(pattern * n, "little")) & ((1 << (width * n)) - 1)
+    raw = int(lifted).to_bytes(n * nbytes, "little")
     return [
         int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - off
-        for i in range(length)
+        for i in range(n)
     ]
 
 
-def _conv_fraction(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+def _conv_split(
+    a: Sequence[int], abits: Sequence[int], b: Sequence[int], n: int, limb_bits: int
+) -> list[int]:
+    """:func:`_conv_int` for an *a* much wider than *b*, one limb at a time.
+
+    Each a_i is cut into signed limbs of ``limb_bits`` bits (rounded up to
+    whole bytes), a_i = sum_l d_il 2^(K l).  Limb l of every coefficient is
+    multiplied by *b* in one narrow product, which starts at the first a_i
+    that has such a limb: under geometric growth the low coefficients have no
+    high limbs.  The partial products are summed by Horner's rule from the
+    top limb down.  Karatsuba makes many narrow products cheaper than one
+    wide product whose slots are padded to a_i's width.
+    """
+    lbytes = (limb_bits + 7) // 8
+    k = 8 * lbytes
+    counts = [-(-x // k) for x in abits]
+    first = []  # first[l]: index of the first coefficient with more than l limbs
+    for i, c in enumerate(counts):
+        while len(first) < c:
+            first.append(i)
+    signs = [-1 if x < 0 else 1 for x in a]
+    raws = [abs(x).to_bytes(c * lbytes, "little") for x, c in zip(a, counts)]
+    out = [0] * n
+    for limb in range(len(first) - 1, -1, -1):
+        z = first[limb]
+        lo, hi = limb * lbytes, (limb + 1) * lbytes
+        digits = [s * int.from_bytes(r[lo:hi], "little") for s, r in zip(signs[z:], raws[z:])]
+        for i, c in enumerate(_conv_int(digits, b, n - z), z):
+            out[i] = (out[i] << k) + c
+    return out
+
+
+def _conv_fraction(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
     na, da = _clear_denominators(a)
-    nb, db = _clear_denominators(b)
-    nums = _conv_int(na, nb)
+    nb, db = (na, da) if b is a else _clear_denominators(b)
+    nums = _conv_int(na, nb, n)
     den = da * db
     if den == 1:
         return [Fraction(x) for x in nums]
@@ -153,18 +209,20 @@ def _conv_fraction(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fractio
 
 
 def _power_series_inverse(u: Sequence[Fraction]) -> list[Fraction]:
-    """Inverse of a power series (u[0] != 0) to the same length, by Newton."""
+    """Inverse of a power series (u[0] != 0) to the same length, by Newton.
+
+    If w inverts u modulo q^t, then u*w = 1 + q^t h, and the next iterate
+    w(2 - u*w) = w - q^t (w*h) inverts u modulo q^(2t).  So each step reads
+    h off a product of length 2t and appends the first t coefficients of
+    -(w*h) to w: the second product is half as long as u*w.
+    """
     length = len(u)
     w = [Fraction(1) / u[0]]
     t = 1
     while t < length:
         t2 = min(2 * t, length)
-        e = _conv_fraction(list(u[:t2]), w)[:t2]
-        corr = [-c for c in e]
-        corr[0] += 2
-        w = _conv_fraction(w, corr)[:t2]
-        if len(w) < t2:
-            w.extend([Fraction(0)] * (t2 - len(w)))
+        h = _conv_fraction(u[:t2], w, t2)[t:]
+        w += [-c for c in _conv_fraction(w, h, t2 - t)]
         t = t2
     return w
 
@@ -535,13 +593,8 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     out_lead = min(ef + eg, out_prec)
     length = out_prec - out_lead + 1
     a = f.coeffs[ef - f.lead : ef - f.lead + length]
-    b = g.coeffs[eg - g.lead : eg - g.lead + length]
-    if not a or not b:
-        return QSeries.zero(out_prec, out_lead)
-    conv = _conv_fraction(a, b)[:length]
-    if len(conv) < length:
-        conv.extend([Fraction(0)] * (length - len(conv)))
-    return QSeries(out_lead, conv)
+    b = a if g is f else g.coeffs[eg - g.lead : eg - g.lead + length]
+    return QSeries(out_lead, _conv_fraction(a, b, length))
 
 
 def inv(f: QSeries) -> QSeries:

@@ -4,13 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magforms.series import (
+    _LOPSIDED_RATIO,
+    _SCHOOLBOOK_CUTOFF,
     AntiderivativeError,
     DomainError,
     PrecisionError,
     QSeries,
     UsageError,
+    _conv_int,
+    inv,
     linear_combine,
 )
 from magforms.forms import discriminant, eisenstein
@@ -175,6 +181,122 @@ def test_inv_times_self_is_one():
         assert all(
             prod.coefficient(i) == 0 for i in range(prod.lead, prod.prec + 1) if i != 0
         )
+
+
+# ----------------------------------------------------------------------
+# the product kernel against the schoolbook product
+# ----------------------------------------------------------------------
+
+
+def schoolbook(a, b, n):
+    out = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] += x * y
+    return out
+
+
+def signed(rng, bits):
+    return rng.choice((-1, 1)) * rng.getrandbits(bits)
+
+
+LENGTHS = st.integers(0, 3 * _SCHOOLBOOK_CUTOFF)
+KERNEL = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def int_lists(draw, length=LENGTHS):
+    """Flat, geometric (a_i ~ +-2^(8i)) or all-zero lists, with leading zeros."""
+    rng = draw(st.randoms(use_true_random=False))
+    n, zeros = draw(length), draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(("flat", "geometric", "zero")))
+    if shape == "flat":
+        bits = draw(st.integers(1, 200))
+        body = [signed(rng, bits) for _ in range(n)]
+    elif shape == "geometric":
+        body = [signed(rng, 8) << (8 * i) | rng.getrandbits(8 * i) for i in range(n)]
+    else:
+        body = [0] * n
+    return ([0] * zeros + body)[:n] if draw(st.booleans()) else body
+
+
+@KERNEL
+@given(int_lists(), int_lists(), st.data())
+def test_conv_int_matches_schoolbook(a, b, data):
+    """n runs from below len(a) to past the end of the product."""
+    n = data.draw(st.integers(0, len(a) + len(b) + 3))
+    assert _conv_int(a, b, n) == schoolbook(a, b, n)
+
+
+@KERNEL
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(1, 40),
+    st.floats(2.0, 3 * _LOPSIDED_RATIO),
+    st.integers(_SCHOOLBOOK_CUTOFF + 1, 80),
+    st.integers(_SCHOOLBOOK_CUTOFF + 1, 80),
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_conv_int_lopsided_split(rng, narrow, ratio, la, lb, geometric, swap, data):
+    """Pairs on both sides of the split threshold, either operand wide."""
+    wide = int(ratio * (narrow + min(la, lb).bit_length()))
+    a = [signed(rng, wide) for _ in range(la)]
+    if geometric:  # the low coefficients have no high limbs
+        a = [x >> max(0, wide - 8 * (i + 1)) for i, x in enumerate(a)]
+    a[-1] = (1 << wide) - 1
+    b = [signed(rng, narrow) for _ in range(lb)]
+    if swap:
+        a, b = b, a
+    n = data.draw(st.integers(0, la + lb + 3))
+    assert _conv_int(a, b, n) == schoolbook(a, b, n)
+
+
+@KERNEL
+@given(
+    st.integers(1, 130),
+    st.integers(1, 3 * _SCHOOLBOOK_CUTOFF),
+    st.integers(1, 3 * _SCHOOLBOOK_CUTOFF),
+    st.sampled_from((1, -1)),
+    st.data(),
+)
+def test_conv_int_same_sign_worst_case(s, la, lb, sign, data):
+    """All a_i = b_j = +-(2^s - 1): every slot reaches its bound."""
+    a, b = [sign * ((1 << s) - 1)] * la, [(1 << s) - 1] * lb
+    n = data.draw(st.integers(0, la + lb + 3))
+    assert _conv_int(a, b, n) == schoolbook(a, b, n)
+
+
+@KERNEL
+@given(int_lists(), st.data())
+def test_conv_int_square_matches_copy(a, data):
+    n = data.draw(st.integers(0, 2 * len(a) + 3))
+    assert _conv_int(a, a, n) == _conv_int(a, list(a), n) == schoolbook(a, a, n)
+
+
+def recurrence_inverse(u):
+    """c_0 = 1/u_0 and c_n = -(1/u_0) sum_{i=1..n} u_i c_{n-i}."""
+    c = [1 / u[0]]
+    for n in range(1, len(u)):
+        c.append(-sum(u[i] * c[n - i] for i in range(1, n + 1)) / u[0])
+    return c
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=30),
+        min_size=1,
+        max_size=3 * _SCHOOLBOOK_CUTOFF,
+    ).filter(lambda u: u[0] != 0),
+    st.integers(0, 3),
+)
+def test_inv_matches_recurrence(u, v):
+    out = inv(QSeries(0, [0] * v + u))
+    assert out.lead == -v
+    assert list(out.coeffs) == recurrence_inverse([Fraction(x) for x in u])
 
 
 # ----------------------------------------------------------------------
