@@ -10,12 +10,10 @@ both sides are present each case also gets ``"after_over_before"``, the
 ratio of the medians.  Every side records the big-integer backend (gmpy2 or
 the pure-``int`` fallback), the Python version and the core count.
 
-Each repeat of a case runs in a fresh interpreter, so the memo caches of
-``magforms.forms`` start empty.  Inputs are built before the clock starts;
-the kernel cases time the best of several calls inside one interpreter.
-
-``--cases`` takes a comma-separated list of case names; ``--repeats`` sets
-the number of fresh interpreters per case (default 3; heavy cases run once).
+Each case runs in REPEATS fresh interpreters (heavy cases in one), so the
+memo caches of ``magforms.forms`` start empty.  Inputs are built before the
+clock starts; the kernel cases time the best of KERNEL_CALLS calls inside one
+interpreter.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ import subprocess
 import sys
 import time
 
+REPEATS = 3
 KERNEL_CALLS = 5
 
 
@@ -54,12 +53,15 @@ def short_product(series, a, b, n):
     return series._conv_int(a, b, n)
 
 
-# name -> (kind, parameters, heavy); heavy cases run in one interpreter only
+# name -> (kind, parameters, heavy); heavy cases run in one interpreter only.
+# Kernel cases are named a_b_n: "flat195" is 195-bit coefficients,
+# "geometric8" a_i of about 8(i+1) bits.  The two flat pairs pack about 10^5
+# and 10^6 bits per operand; the last pair is lopsided.
 CASES = {
-    "conv_int.balanced_1e5": ("kernel", {"n": 250, "a": ("flat", 195), "b": ("flat", 195)}, False),
-    "conv_int.balanced_1e6": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}, False),
-    "conv_int.geometric_400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}, False),
-    "conv_int.lopsided_400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}, False),
+    "conv_int.flat195_flat195_n250": ("kernel", {"n": 250, "a": ("flat", 195), "b": ("flat", 195)}, False),
+    "conv_int.flat495_flat495_n1000": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}, False),
+    "conv_int.geometric8_geometric8_n400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}, False),
+    "conv_int.flat70_geometric16_n400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}, False),
     "inv_E4.500": ("inv_e4", {"N": 500}, False),
     "inv_E4.1000": ("inv_e4", {"N": 1000}, False),
     "inv_E4.2000": ("inv_e4", {"N": 2000}, False),
@@ -88,8 +90,7 @@ def run_case(kind: str, params: dict) -> dict:
             t0 = time.perf_counter()
             short_product(series, a, b, params["n"])
             best = min(best, time.perf_counter() - t0)
-        width = max(x.bit_length() for x in a) + max(x.bit_length() for x in b)
-        return {"s": best, "packed_bits": params["n"] * width}
+        return {"s": best}
     if kind == "inv_e4":
         e4 = forms.eisenstein(4, params["N"])
         t0 = time.perf_counter()
@@ -138,9 +139,9 @@ def child(src: str, name: str) -> int:
     return 0
 
 
-def measure(src: str, name: str, repeats: int) -> tuple[dict, dict]:
+def measure(src: str, name: str) -> tuple[dict, dict]:
     runs, env = [], {}
-    for _ in range(1 if CASES[name][2] else repeats):
+    for _ in range(1 if CASES[name][2] else REPEATS):
         argv = [sys.executable, os.path.abspath(__file__), "--src", src, "--child", name]
         proc = subprocess.run(argv, capture_output=True, text=True, check=True)
         out = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -157,18 +158,12 @@ def main(argv=None) -> int:
     parser.add_argument("--src", required=True, help="directory holding the magforms package")
     parser.add_argument("--side", choices=("before", "after"))
     parser.add_argument("--out")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--cases", help="comma-separated case names (default: all)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         return child(args.src, args.child)
     if not args.side or not args.out:
         parser.error("--side and --out are required")
-    names = args.cases.split(",") if args.cases else list(CASES)
-    unknown = [n for n in names if n not in CASES]
-    if unknown:
-        parser.error(f"unknown cases: {', '.join(unknown)}")
 
     bench = {}
     if os.path.exists(args.out):
@@ -176,8 +171,8 @@ def main(argv=None) -> int:
             bench = json.load(fh)
     bench.setdefault("harness", "benchmarks/layers.py")
     bench.setdefault("cases", {})
-    for name in names:
-        summary, env = measure(args.src, name, args.repeats)
+    for name in CASES:
+        summary, env = measure(args.src, name)
         bench.setdefault(args.side, {})["environment"] = env
         case = bench["cases"].setdefault(name, {})
         case[args.side] = summary
