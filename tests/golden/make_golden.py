@@ -4,7 +4,7 @@ The golden set pins the exact bytes that refactors of the working-precision,
 representation and memo layers must keep: ``exprs.evaluate`` on every named
 form, a few Laurent expressions and plus-space basis elements at windows
 0-3, 7 and 40 (trimmed and untrimmed), ``plus_basis`` with its
-``pool_s_max``, and five verification reports without their ``timing`` block.
+``pool_s_max``, and seven verification reports without their ``timing`` block.
 A case that raises records the exception class instead of a digest.
 
 Regenerate (only when an output is meant to change) from the repository root::
@@ -93,6 +93,8 @@ def cases():
             yield f"plus_basis|k={k}|{prec}", lambda k=k, prec=prec: _plus_basis(k, prec)
     for which in ("th1", "th2"):
         yield f"verify_theorem|{which}|150", lambda w=which: _report(verify_theorem(w, 150))
+    for which in ("w4", "w6"):
+        yield f"verify_theorem|{which}|60", lambda w=which: _report(verify_theorem(w, 60))
     yield "verify_misc|120|150", lambda: _report(verify_misc(120, 150))
     yield (
         "verify_table1|1,2,3,4,5,7|12|100",
