@@ -248,29 +248,22 @@ def named_form(name, prec: int) -> QSeries:
 # ----------------------------------------------------------------------
 
 
-def hk_operator_apply(f: QSeries, k: int, prec: int | None = None) -> QSeries:
+def hk_operator_apply(f: QSeries, k: int) -> QSeries:
     """Apply D_k = delta^2 - ((k+1)/6) E2 delta + (k(k+1)/12) (delta E2)."""
-    work = f.prec if prec is None else max(prec, f.prec)
-    e2 = eisenstein(2, max(work - min(f.lead, 0) + 4, 0))
+    e2 = eisenstein(2, max(f.prec - min(f.lead, 0) + 4, 0))
     df = f.delta()
     ddf = df.delta()
     term2 = (e2 * df) * Fraction(-(k + 1), 6)
     term3 = (e2.delta() * f) * Fraction(k * (k + 1), 12)
-    out = linear_combine([(1, ddf), (1, term2), (1, term3)])
-    if prec is not None:
-        out = out.truncate(min(out.prec, prec))
-    return out
+    return linear_combine([(1, ddf), (1, term2), (1, term3)])
 
 
-def specific_d_apply(f: QSeries, prec: int | None = None) -> QSeries:
+def specific_d_apply(f: QSeries) -> QSeries:
     """Apply D = delta^2 - E2 delta + (7 E2^2 - 5 E4 - 2 E2 E6 / E4)/36."""
-    work = (f.prec if prec is None else max(prec, f.prec)) - min(f.lead, 0) + 4
+    work = f.prec - min(f.lead, 0) + 4
     e2 = eisenstein(2, work)
     e4 = eisenstein(4, work)
     e6 = eisenstein(6, work)
     multiplier = (7 * e2**2 - 5 * e4 - 2 * (e2 * e6) * e4.inverse()) / 36
     df = f.delta()
-    out = linear_combine([(1, df.delta()), (-1, e2 * df), (1, multiplier * f)])
-    if prec is not None:
-        out = out.truncate(min(out.prec, prec))
-    return out
+    return linear_combine([(1, df.delta()), (-1, e2 * df), (1, multiplier * f)])

@@ -56,10 +56,9 @@ class PlusReport:
         return self.ok
 
 
-def plus_check(series: QSeries, k: int, lo: int | None = None, hi: int | None = None) -> PlusReport:
-    """Verify the parity-dependent vanishing on (part of) the window."""
-    lo = series.lead if lo is None else max(lo, series.lead)
-    hi = series.prec if hi is None else min(hi, series.prec)
+def plus_check(series: QSeries, k: int) -> PlusReport:
+    """Verify the parity-dependent vanishing on the whole window."""
+    lo, hi = series.lead, series.prec
     for n in range(lo, hi + 1):
         if not admissible(k, n) and series._get(n) != 0:
             return PlusReport(False, n, (lo, hi))
@@ -214,15 +213,10 @@ def t4_prime(f: PlusForm) -> PlusForm:
 # ----------------------------------------------------------------------
 
 
-def _e2_of_4tau(prec_needed: int) -> QSeries:
-    m = max(prec_needed // 4 + 2, 1)
-    return eisenstein(2, m).substitute_power(4)
-
-
 def raising(f: PlusForm) -> PlusForm:
     """delta f - ((2k+1)/6) E2(4tau) f, of weight (k+2) + 1/2."""
     s = f.series
-    e2_4 = _e2_of_4tau(s.prec - min(s.lead, 0) + 4)
+    e2_4 = _sub4(lambda p: eisenstein(2, p), s.prec - min(s.lead, 0) + 4)
     out = linear_combine(
         [(1, s.delta()), (Fraction(-(2 * f.k + 1), 6), e2_4 * s)]
     )
@@ -296,8 +290,14 @@ def _pool_element(a: int, b: int, s: int, prec: int) -> QSeries:
     return out.truncate(prec)
 
 
-def _seed_combination(k: int, m: int, s_max: int):
+# Pool size of every seed solve: it represents each seed q^-m + O(q), m <= 3,
+# that exists for k = 0 and 3..7; at k = 1 the m = 0 seed does not exist.
+_SEED_S_MAX = 3
+
+
+def _seed_combination(k: int, m: int):
     """Solve for f_m = q^{-m} + O(q) on the pool; returns descriptor weights."""
+    s_max = _SEED_S_MAX
     bound = 4 * s_max + 2 * k + 8
     descriptors = _pool_descriptors(k, s_max)
     columns = [_pool_element(a, b, s, bound) for (a, b, s) in descriptors]
@@ -319,25 +319,19 @@ def _seed_combination(k: int, m: int, s_max: int):
     ]
 
 
-def _build_seed(k: int, m: int, prec: int) -> tuple[QSeries, int]:
+def _build_seed(k: int, m: int, prec: int) -> QSeries:
     """Construct the basis element f_m (m <= 3) at full precision."""
-    s_base = max(1, (m + 3) // 4) + 2
-    last_error = None
-    for s_max in (s_base, s_base + 2, s_base + 4):
-        combo = _seed_combination(k, m, s_max)
-        if combo is None:
-            last_error = f"pool with s_max={s_max} cannot represent q^-{m}"
-            continue
-        series = linear_combine(
-            [(coeff, _pool_element(a, b, s, prec)) for coeff, (a, b, s) in combo]
-        ).restrict(-m, prec)
-        try:
-            _validate_shape(k, m, series)
-        except BasisError as exc:
-            last_error = str(exc)
-            continue
-        return series, s_max
-    raise BasisError(f"basis element q^-{m} (k={k}) not found: {last_error}")
+    combo = _seed_combination(k, m)
+    if combo is None:
+        raise BasisError(
+            f"basis element q^-{m} (k={k}) not found: pool with "
+            f"s_max={_SEED_S_MAX} cannot represent q^-{m}"
+        )
+    series = linear_combine(
+        [(coeff, _pool_element(a, b, s, prec)) for coeff, (a, b, s) in combo]
+    ).restrict(-m, prec)
+    _validate_shape(k, m, series)
+    return series
 
 
 def _validate_shape(k: int, m: int, series: QSeries) -> None:
@@ -373,38 +367,36 @@ def _admissible_pole_orders(k: int, max_m: int) -> list[int]:
 
 
 @lru_cache(maxsize=8)
-def _basis_elements(k: int, max_m: int, prec: int) -> tuple[dict, int]:
+def _basis_elements(k: int, max_m: int, prec: int) -> dict[int, PlusForm]:
     """All admissible basis elements with pole order <= max_m, via seeds
     plus repeated multiplication by j(4tau) with integral corrections."""
     orders = _admissible_pole_orders(k, max_m)
     generations = max(0, (max_m + 3) // 4)
     build_prec = prec + 4 * generations + 8
     elements: dict[int, QSeries] = {}
-    pool_s = 0
     for m in [m for m in orders if m < 4]:
         if k == 2 and m == 0:
             elements[0] = _g0_series(build_prec)
         elif k == 2 and m == 3:
             elements[3] = _f3_series(build_prec)
         else:
-            elements[m], s_used = _build_seed(k, m, build_prec)
-            pool_s = max(pool_s, s_used)
+            elements[m] = _build_seed(k, m, build_prec)
     j4 = None
     for m in [m for m in orders if m >= 4]:
         if j4 is None:
             jp = build_prec // 4 + max_m + 8
             j4 = j_invariant(jp).substitute_power(4)
-        prev = elements[m - 4]
-        product = prev * j4
-        for m2 in sorted((x for x in orders if x < m), reverse=True):
-            c = product._get(-m2)
-            if c:
-                product = linear_combine([(1, product), (-c, elements[m2])])
-        series = product.restrict(-m, product.prec)
+        # each element q^-m2 + O(q) vanishes at q^-m3 for m3 < m2, so every
+        # correction scalar can be read off the raw product
+        product = elements[m - 4] * j4
+        terms = [(1, product)] + [
+            (-product._get(-m2), elements[m2]) for m2 in orders if m2 < m and product._get(-m2)
+        ]
+        combo = linear_combine(terms)
+        series = combo.restrict(-m, combo.prec)
         _validate_shape(k, m, series)
         elements[m] = series
-    out = {m: PlusForm(k, s.truncate(prec)) for m, s in elements.items()}
-    return out, pool_s
+    return {m: PlusForm(k, s.truncate(prec)) for m, s in elements.items()}
 
 
 def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
@@ -418,9 +410,10 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
             raise UsageError(
                 f"pole order {m} is not admissible for weight {k}+1/2"
             )
-    max_m = max(m_list)
-    elements, pool_s = _basis_elements(k, max_m, prec)
-    return PlusBasis(k, {m: elements[m] for m in m_list}, pool_s)
+    elements = _basis_elements(k, max(m_list), prec)
+    # weight 5/2 takes its seeds from g0 and f3, not from the pool
+    pool_s_max = 0 if k == 2 else _SEED_S_MAX
+    return PlusBasis(k, {m: elements[m] for m in m_list}, pool_s_max)
 
 
 # ----------------------------------------------------------------------

@@ -259,8 +259,8 @@ class QSeries:
     # ------------------------------------------------------------------
 
     @classmethod
-    def zero(cls, prec: int, lead: int = 0) -> "QSeries":
-        return cls(lead, [0] * (prec - lead + 1))
+    def zero(cls, prec: int) -> "QSeries":
+        return cls(0, [0] * (prec + 1))
 
     @classmethod
     def one(cls, prec: int) -> "QSeries":
@@ -433,14 +433,6 @@ class QSeries:
         if lo > hi:
             raise UsageError("empty restriction window")
         return QSeries(lo, [self._get(n) for n in range(lo, hi + 1)])
-
-    def pad_lead(self, new_lead: int) -> "QSeries":
-        """Extend the window downward with explicit (known) zeros."""
-        if new_lead > self.lead:
-            raise UsageError("pad_lead can only move the lead down")
-        return QSeries(
-            new_lead, [Fraction(0)] * (self.lead - new_lead) + list(self.coeffs)
-        )
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k (shift all exponents by k)."""

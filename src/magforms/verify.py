@@ -63,29 +63,22 @@ def _val_ge(series: QSeries, p: int, e: int):
 # ----------------------------------------------------------------------
 
 
-def _sweep_weight4():
-    out = []
-    anchor = QuasiElement.single(0, 1, 0)
-    for a in range(0, 3):
-        for b in range(-4, 5):
-            for c in range(-4, 5):
-                if 2 * a + 4 * b + 6 * c == 4:
-                    mono = QuasiElement.single(a, b, c)
-                    if (a, b, c) != (0, 1, 0):
-                        out.append(((a, b, c), mono - anchor))
-    return out
+# weight -> (range of the E2 power a, range of the E6 power c, anchor (a, b, c));
+# the E4 power b runs over -4..4
+_SWEEPS = {4: (range(3), range(-4, 5), (0, 1, 0)), 6: (range(5), range(5), (0, 0, 1))}
 
 
-def _sweep_weight6():
-    out = []
-    anchor = QuasiElement.single(0, 0, 1)
-    for a in range(0, 5):
-        for b in range(-4, 5):
-            for c in range(0, 5):
-                if 2 * a + 4 * b + 6 * c == 6:
-                    if (a, b, c) != (0, 0, 1):
-                        out.append(((a, b, c), QuasiElement.single(a, b, c) - anchor))
-    return out
+def _sweep(weight: int):
+    """((a, b, c), f(a, b, c) - anchor) for each other monomial of the weight."""
+    a_range, c_range, anchor = _SWEEPS[weight]
+    anchor_elem = QuasiElement.single(*anchor)
+    return [
+        ((a, b, c), QuasiElement.single(a, b, c) - anchor_elem)
+        for a in a_range
+        for b in range(-4, 5)
+        for c in c_range
+        if 2 * a + 4 * b + 6 * c == weight and (a, b, c) != anchor
+    ]
 
 
 def verify_theorem(which: str, prec: int = 2000) -> VerificationReport:
@@ -110,33 +103,20 @@ def verify_theorem(which: str, prec: int = 2000) -> VerificationReport:
                     res.ok,
                     "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}",
                 )
-        elif which == "w4":
+        elif which in ("w4", "w6"):
+            weight = int(which[1])
+            reduce = reduce_weight4 if weight == 4 else reduce_weight6
+            anchor_name = "f({},{},{})".format(*_SWEEPS[weight][2])
             cert_prec = min(prec, 300)
             mag_prec = min(prec, 500)
-            for exps, elem in _sweep_weight4():
-                cert = reduce_weight4(elem)
+            for exps, elem in _sweep(weight):
                 report.add(
-                    f"certificate f{exps} - f(0,1,0) verifies at prec {cert_prec}",
-                    verify_certificate(cert, cert_prec),
+                    f"certificate f{exps} - {anchor_name} verifies at prec {cert_prec}",
+                    verify_certificate(reduce(elem), cert_prec),
                 )
                 rep = magnetic_check(elem, mag_prec)
                 report.add(
-                    f"f{exps} - f(0,1,0) magnetic through q^{mag_prec}",
-                    rep.ok,
-                    "" if rep.ok else f"denominator {rep.denominator} at q^{rep.exponent}",
-                )
-        elif which == "w6":
-            cert_prec = min(prec, 300)
-            mag_prec = min(prec, 500)
-            for exps, elem in _sweep_weight6():
-                cert = reduce_weight6(elem)
-                report.add(
-                    f"certificate f{exps} - f(0,0,1) verifies at prec {cert_prec}",
-                    verify_certificate(cert, cert_prec),
-                )
-                rep = magnetic_check(elem, mag_prec)
-                report.add(
-                    f"f{exps} - f(0,0,1) magnetic through q^{mag_prec}",
+                    f"f{exps} - {anchor_name} magnetic through q^{mag_prec}",
                     rep.ok,
                     "" if rep.ok else f"denominator {rep.denominator} at q^{rep.exponent}",
                 )
@@ -434,7 +414,7 @@ def verify_misc(prec: int = 800, family_prec: int = 1000) -> VerificationReport:
         # exploratory: the weight-6 monomial differences appear strongly
         # magnetic (integral, not merely p-integral, anti-derivatives)
         strong_ok = True
-        for exps, elem in _sweep_weight6():
+        for exps, elem in _sweep(6):
             if not magnetic_check(elem, 300).ok:
                 strong_ok = False
         report.add(
@@ -442,10 +422,9 @@ def verify_misc(prec: int = 800, family_prec: int = 1000) -> VerificationReport:
             strong_ok,
         )
 
-        good_primes = [p for p in (5, 11, 17, 23, 29, 41, 47) if p <= 50]
         for tag in ("HK_num1", "HK_num2"):
             series = named_form(tag, prec).antiderivative()
-            for p in good_primes:
+            for p in (5, 11, 17, 23, 29, 41, 47):
                 res = series.integrality_check(p)
                 report.add(
                     f"{tag} antiderivative {p}-integral through q^{prec}",

@@ -7,6 +7,7 @@ import pytest
 
 from magforms.forms import discriminant, eisenstein, theta
 from magforms.halfint import (
+    BasisError,
     PlusForm,
     PlusSpaceError,
     admissible,
@@ -242,6 +243,27 @@ def test_basis_rejects_inadmissible():
         plus_basis(2, [2], 30)
     with pytest.raises(UsageError):
         plus_basis(3, [3], 30)
+
+
+@pytest.mark.parametrize("k", [0, 2, 3, 4, 5, 6, 7])
+def test_basis_seeds_from_one_pool_size(k):
+    # every seed q^-m + O(q), m <= 3, solves on the pool with 1/Delta(4tau)^s
+    # for s <= 3; weight 5/2 (k = 2) takes its seeds from g0 and f3 instead
+    orders = [m for m in range(4) if admissible(k, -m)]
+    basis = plus_basis(k, orders, 40)
+    assert basis.pool_s_max == (0 if k == 2 else 3)
+    for m in orders:
+        f = basis[m].series
+        assert f.coefficient(-m) == 1
+        assert all(f._get(e) == 0 for e in range(-m + 1, 1))
+        assert f.integrality_check().ok
+
+
+def test_basis_weight_3_half_has_no_seed():
+    # weight 3/2 has no element 1 + O(q), the m = 0 seed that every basis
+    # builds first, so even the pole-order-1 basis fails
+    with pytest.raises(BasisError):
+        plus_basis(1, [1], 40)
 
 
 def test_t4_prime_recursions_family4():
