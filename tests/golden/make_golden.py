@@ -4,7 +4,9 @@ The golden set pins the exact bytes that refactors of the working-precision,
 representation and memo layers must keep: ``exprs.evaluate`` on every named
 form, a few Laurent expressions and plus-space basis elements at windows
 0-3, 7 and 40 (trimmed and untrimmed), ``plus_basis`` with its
-``pool_s_max``, and seven verification reports without their ``timing`` block.
+``pool_s_max``, seven verification reports without their ``timing`` block,
+the reduction certificate of every w4/w6 sweep element, ``parse_element`` on
+the README element, and a few ``psi``/``phi`` lifts.
 A case that raises records the exception class instead of a digest.
 
 Regenerate (only when an output is meant to change) from the repository root::
@@ -21,9 +23,12 @@ import json
 from pathlib import Path
 
 from magforms.exprs import evaluate
-from magforms.forms import FormName
-from magforms.halfint import admissible, plus_basis
+from magforms.forms import FormName, discriminant
+from magforms.halfint import admissible, named_plus_form, plus_basis
+from magforms.lifts import phi, psi
+from magforms.quasi import QuasiElement, parse_element, reduce_weight4, reduce_weight6
 from magforms.verify import (
+    _sweep,
     verify_congruence,
     verify_misc,
     verify_table1,
@@ -79,6 +84,29 @@ def _plus_basis(k: int, prec: int) -> str:
     )
 
 
+def _certificate(cert) -> str:
+    return _canonical(
+        {
+            "mu": str(cert.mu),
+            "generators": {name: str(val) for name, val in cert.gens.items()},
+            "delta_part": str(cert.delta_part),
+        }
+    )
+
+
+def _element(text: str) -> str:
+    e = parse_element(text)
+    return _canonical({"weight": e.weight, "element": str(e)})
+
+
+# one element outside each reduction space: E2 power 3 > 2 in weight 4,
+# E6 power -1 < 0 in weight 6
+_OUT_OF_SCOPE = {
+    4: QuasiElement.single(3, 1, -1) - QuasiElement.single(0, 1, 0),
+    6: QuasiElement.single(0, 3, -1) - QuasiElement.single(0, 0, 1),
+}
+
+
 def cases():
     """Yield (key, thunk) pairs; each thunk returns the output as a string."""
     for text, k in _expressions():
@@ -104,6 +132,23 @@ def cases():
         "verify_congruence|f4a|3|2|1|40",
         lambda: _report(verify_congruence("f4a", 3, 2, 1, 40)),
     )
+    for weight, reduce in ((4, reduce_weight4), (6, reduce_weight6)):
+        for exps, elem in _sweep(weight):
+            yield (
+                f"reduce|w{weight}|f{exps}",
+                lambda r=reduce, e=elem: _certificate(r(e)),
+            )
+        yield (
+            f"reduce|w{weight}|out_of_scope",
+            lambda r=reduce, e=_OUT_OF_SCOPE[weight]: _certificate(r(e)),
+        )
+    readme_element = "3/2*f(1,-1,1) - f(0,1,0)"
+    yield f"parse_element|{readme_element}", lambda: _element(readme_element)
+    yield "psi|f4a|900", lambda: psi(named_plus_form("f4a", 900)).to_json()
+    yield "psi|basis:k=3,m=1|300", lambda: psi(plus_basis(3, [1], 300)[1]).to_json()
+    for k in (2, 3):
+        yield f"phi|Delta|40|k={k}", lambda k=k: phi(discriminant(40), k).to_json()
+    yield "phi|Delta|40|k=3|out_prec=200", lambda: phi(discriminant(40), 3, 200).to_json()
 
 
 def digest(thunk) -> str:
