@@ -15,15 +15,10 @@ from .series import (
     QSeries,
     SeriesError,
     UsageError,
-    antiderivative,
-    coefficient,
-    delta,
-    integrality_check,
     inv,
     linear_combine,
     mul,
     pow_int,
-    substitute_power,
 )
 from .forms import (
     ConsistencyError,
@@ -49,14 +44,10 @@ __all__ = [
     "QSeries",
     "SeriesError",
     "UsageError",
-    "antiderivative",
-    "coefficient",
-    "delta",
     "discriminant",
     "e24",
     "eisenstein",
     "hk_operator_apply",
-    "integrality_check",
     "inv",
     "j_invariant",
     "linear_combine",
@@ -65,7 +56,6 @@ __all__ = [
     "pow_int",
     "quasi_monomial",
     "specific_d_apply",
-    "substitute_power",
     "theta",
 ]
 

@@ -230,7 +230,12 @@ def main(argv=None) -> int:
         if args.command == "table1":
             rows = None
             if args.rows:
-                rows = [int(r) for r in args.rows.split(",") if r.strip()]
+                try:
+                    rows = [int(r) for r in args.rows.split(",") if r.strip()]
+                except ValueError:
+                    raise UsageError(
+                        f"--rows needs comma separated row ids, got {args.rows!r}"
+                    ) from None
             return _emit_report(
                 verify_table1(
                     rows,

@@ -165,18 +165,14 @@ def quasi_monomial(a: int, b: int, c: int, prec: int) -> QSeries:
     return out.truncate(prec)
 
 
-def constant_series(value, prec: int) -> QSeries:
-    return QSeries(0, [value] + [0] * prec)
-
-
 def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:
     """Evaluate an integer polynomial at the j series (Horner)."""
     if not coeffs_ascending:
         raise UsageError("empty polynomial")
-    acc = constant_series(coeffs_ascending[-1], j.prec)
+    acc = QSeries.monomial(0, coeffs_ascending[-1], j.prec)
     for c in reversed(coeffs_ascending[:-1]):
         acc = acc * j
-        acc = acc + constant_series(c, max(acc.prec, 0))
+        acc = acc + QSeries.monomial(0, c, max(acc.prec, 0))
     return acc
 
 

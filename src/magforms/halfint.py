@@ -401,6 +401,8 @@ def _basis_elements(k: int, max_m: int, prec: int) -> dict[int, PlusForm]:
 
 def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
     """Basis elements q^{-m} + O(q) for each requested pole order."""
+    if k < 0:
+        raise UsageError(f"weight parameter k must be >= 0, got {k}")
     if not m_list:
         raise UsageError("empty pole-order list")
     for m in m_list:
@@ -410,6 +412,11 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
             raise UsageError(
                 f"pole order {m} is not admissible for weight {k}+1/2"
             )
+    if k == 1:
+        raise BasisError(
+            "weight 3/2 (k = 1) has no basis: the j(4tau) ladder starts from the "
+            "seeds 1 + O(q) and q^-1 + O(q), and neither exists in weight 3/2"
+        )
     elements = _basis_elements(k, max(m_list), prec)
     # weight 5/2 takes its seeds from g0 and f3, not from the pool
     pool_s_max = 0 if k == 2 else _SEED_S_MAX
@@ -477,8 +484,15 @@ _NAMED_BUILDERS = {
 }
 
 
+# the weight 5/2 forms that are combinations of g0, g1 and g2
+_G_COMBINATIONS = {
+    "f4a": (Fraction(7, 8), Fraction(1, 768), Fraction(-1, 768)),
+    "f4b": (Fraction(19, 18), Fraction(-5, 648), Fraction(-1, 648)),
+}
+
+
 # every name named_plus_form accepts
-PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS) | {"f4a", "f4b", "f6half"}
+PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS) | frozenset(_G_COMBINATIONS) | {"f6half"}
 
 
 @lru_cache(maxsize=None)
@@ -487,28 +501,9 @@ def named_plus_form(name: str, prec: int) -> PlusForm:
     if name in _NAMED_BUILDERS:
         k, builder = _NAMED_BUILDERS[name]
         return PlusForm(k, builder(prec))
-    if name == "f4a":
-        return PlusForm(
-            2,
-            linear_combine(
-                [
-                    (Fraction(7, 8), _g0_series(prec)),
-                    (Fraction(1, 768), _g1_series(prec)),
-                    (Fraction(-1, 768), _g2_series(prec)),
-                ]
-            ),
-        )
-    if name == "f4b":
-        return PlusForm(
-            2,
-            linear_combine(
-                [
-                    (Fraction(19, 18), _g0_series(prec)),
-                    (Fraction(-5, 648), _g1_series(prec)),
-                    (Fraction(-1, 648), _g2_series(prec)),
-                ]
-            ),
-        )
+    if name in _G_COMBINATIONS:
+        gens = (_g0_series(prec), _g1_series(prec), _g2_series(prec))
+        return PlusForm(2, linear_combine(list(zip(_G_COMBINATIONS[name], gens))))
     if name == "f6half":
         basis = plus_basis(3, [1], prec)
         f1 = basis[1].series

@@ -6,8 +6,10 @@ f = sum a(n) q^n to F = sum_{n>0} A(n) q^n where
 
     A(n) = sum_{d|n} (d|D) d^(k-1) a(|D| n^2 / d^2).
 
-The reverse map reads off b(n/d) with a Moebius weight and is supported on the
-exponents |D| n^2.  Both maps accept arbitrary Laurent series with the weight
+The weight w(d) = (d|D) d^(k-1) is completely multiplicative, so the lift is
+the Dirichlet convolution A = w * b with b(n) = a(|D| n^2).  The reverse map
+solves it for b by forward substitution and is supported on the exponents
+|D| n^2.  Both maps accept arbitrary Laurent series with the weight
 supplied explicitly; nothing here assumes modularity.
 """
 
@@ -28,33 +30,9 @@ def lift_discriminant(k: int) -> int:
     return 1 if k % 2 == 0 else -3
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    if n > 1:
-        out = -out
-    return out
+def _weights(D: int, k: int, n_max: int) -> list[int]:
+    """[0, w(1), ..., w(n_max)] with w(d) = (d|D) d^(k-1), completely multiplicative."""
+    return [0] + [kronecker(d, D) * d ** (k - 1) for d in range(1, n_max + 1)]
 
 
 def psi(f: PlusForm | QSeries, k: int | None = None) -> QSeries:
@@ -72,14 +50,12 @@ def psi(f: PlusForm | QSeries, k: int | None = None) -> QSeries:
         raise PrecisionError(
             f"input precision {series.prec} yields no lifted coefficients"
         )
-    out = []
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for d in _divisors(n):
-            sym = kronecker(d, D)
-            if sym:
-                acc += sym * Fraction(d) ** (k - 1) * series._get(abs(D) * (n // d) ** 2)
-        out.append(acc)
+    out = [Fraction(0)] * n_max  # exponents 1..n_max
+    for d, w in enumerate(_weights(D, k, n_max)):
+        if w:
+            # A(n) gains w(d) a(|D| (n/d)^2) at every multiple n = d*m
+            for m in range(1, n_max // d + 1):
+                out[d * m - 1] += w * series._get(abs(D) * m * m)
     return QSeries(1, out)
 
 
@@ -97,19 +73,15 @@ def phi(F: QSeries, k: int, out_prec: int | None = None) -> QSeries:
             f"requested output precision {out_prec} exceeds derivable {full_prec}"
         )
     coeffs = [Fraction(0)] * out_prec  # exponents 1..out_prec
-    for n in range(1, n_max + 1):
-        e = abs(D) * n * n
-        if e > out_prec:
-            break
-        acc = Fraction(0)
-        for d in _divisors(n):
-            mu = _moebius(d)
-            if not mu:
-                continue
-            sym = kronecker(d, D)
-            if sym:
-                acc += sym * mu * Fraction(d) ** (k - 1) * F._get(n // d)
-        coeffs[e - 1] = acc
+    n_top = isqrt(max(out_prec, 0) // abs(D))
+    w = _weights(D, k, n_top)
+    # solve F = w * b (Dirichlet convolution) for b by forward substitution:
+    # when n is reached, every w(d) b(n/d) with d > 1 has been subtracted
+    b = [Fraction(0)] + [F._get(n) for n in range(1, n_top + 1)]
+    for n in range(1, n_top + 1):
+        coeffs[abs(D) * n * n - 1] = b[n]
+        for d in range(2, n_top // n + 1):
+            b[n * d] -= w[d] * b[n]
     return QSeries(1, coeffs)
 
 

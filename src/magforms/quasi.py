@@ -13,13 +13,13 @@ delta-image, returning certificates that can be re-verified on q-expansions.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
 from .series import QSeries, UsageError, linear_combine
 from .forms import quasi_monomial
+from .exprs import parse_expression
 
 
 class ReductionScopeError(UsageError):
@@ -137,49 +137,46 @@ class QuasiElement:
         return f"QuasiElement(weight={self.weight}: {self})"
 
 
-_TERM_RE = re.compile(
-    r"^\s*(?P<coeff>[0-9]+(?:/[0-9]+)?)?\s*\*?\s*"
-    r"f\(\s*(?P<a>-?[0-9]+)\s*,\s*(?P<b>-?[0-9]+)\s*,\s*(?P<c>-?[0-9]+)\s*\)\s*$"
-)
+def _value(node) -> Union[Fraction, QuasiElement]:
+    """A Fraction for a numeric subtree, a QuasiElement for one with f(a,b,c)."""
+    op = node[0]
+    if op == "int":
+        return Fraction(node[1])
+    if op == "monomial":
+        return QuasiElement.single(*node[1:])
+    if op == "neg":
+        return -_value(node[1])
+    if op not in ("+", "-", "*", "/"):
+        raise UsageError("an element is a rational combination of f(a,b,c) terms")
+    lhs, rhs = _value(node[1]), _value(node[2])
+    scalars = isinstance(lhs, Fraction) + isinstance(rhs, Fraction)
+    if op == "/":
+        if not isinstance(rhs, Fraction):
+            raise UsageError("an element can only be divided by a number")
+        if rhs == 0:
+            raise UsageError("division by zero in element")
+        return lhs * (1 / rhs)
+    if op == "*":
+        if not scalars:
+            raise UsageError("a product of f(a,b,c) terms is not an element")
+        return lhs * rhs
+    if scalars == 1:
+        raise UsageError("a number cannot be added to an f(a,b,c) term")
+    return lhs + rhs if op == "+" else lhs - rhs
 
 
 def parse_element(text: str) -> QuasiElement:
-    """Parse `3/2*f(1,-1,1) - f(0,1,0)` style element syntax."""
-    src = text.strip()
-    if not src:
-        raise UsageError("empty element expression")
-    if src == "0":
+    """Parse `3/2*f(1,-1,1) - f(0,1,0)` style element syntax.
+
+    The text is read with the expression grammar of :mod:`magforms.exprs`
+    and must be a rational combination of f(a,b,c) terms, or 0.
+    """
+    value = _value(parse_expression(text))
+    if isinstance(value, Fraction):
+        if value:
+            raise UsageError("an element needs f(a,b,c) terms")
         return QuasiElement.zero(0)
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    buf = ""
-    depth = 0
-    for ch in src:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if depth == 0 and ch in "+-" and buf.strip():
-            chunks.append((sign, buf))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif depth == 0 and ch in "+-" and not buf.strip():
-            sign = sign if ch == "+" else -sign
-        else:
-            buf += ch
-    if buf.strip():
-        chunks.append((sign, buf))
-    result = None
-    for sgn, chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m:
-            raise UsageError(f"cannot parse element term {chunk!r}")
-        coeff = Fraction(m.group("coeff") or 1) * sgn
-        term = QuasiElement.single(
-            int(m.group("a")), int(m.group("b")), int(m.group("c")), coeff
-        )
-        result = term if result is None else result + term
-    return result
+    return value
 
 
 def format_element(v: QuasiElement) -> str:
@@ -284,157 +281,150 @@ class _Accumulator:
         self.delta = QuasiElement.zero(weight - 2)
 
 
+def _reduce(v: QuasiElement, weight: int, gens, scope_error, step) -> ReductionCertificate:
+    """Run the work list of one weight: `scope_error(mono)` returns a message
+    for a monomial outside the space (else None), and `step(mono, lam, acc,
+    push)` applies the rule for lam * mono, queueing new terms through push."""
+    if not v.is_zero() and v.weight != weight:
+        raise UsageError(f"reduce_weight{weight} needs weight {weight}, got {v.weight}")
+    for mono in v.terms:
+        message = scope_error(mono)
+        if message:
+            raise ReductionScopeError(message)
+    acc = _Accumulator(weight, gens)
+    pending = dict(v.terms)
+
+    def push(mono: QuasiMonomial, coeff: Fraction):
+        if coeff:
+            pending[mono] = pending.get(mono, Fraction(0)) + coeff
+            if pending[mono] == 0:
+                del pending[mono]
+
+    while pending:
+        mono = min(pending, key=_sort_key)
+        step(mono, pending.pop(mono), acc, push)
+    return ReductionCertificate(v, weight, acc.mu, acc.gens, acc.delta)
+
+
+def _step_w4(mono: QuasiMonomial, lam: Fraction, acc: _Accumulator, push) -> None:
+    a, b, c = mono
+    if mono == ANCHOR_W4:
+        acc.mu += lam
+    elif mono == QuasiMonomial(0, -2, 2):
+        acc.gens["Ga"] += lam
+        acc.mu += lam
+    elif mono == QuasiMonomial(1, 2, -1):
+        acc.gens["Gb"] += lam
+        acc.mu += lam
+    elif mono == QuasiMonomial(2, 0, 0):
+        # f(2,0,0) = f(0,1,0) + 12 delta f(1,0,0)
+        acc.mu += lam
+        acc.delta += QuasiElement.single(1, 0, 0, 12 * lam)
+    elif mono == QuasiMonomial(1, -1, 1):
+        # f(1,-1,1) = -2 f(0,-2,2) + 3 f(0,1,0) + 6 delta f(0,-1,1)
+        push(QuasiMonomial(0, -2, 2), -2 * lam)
+        push(ANCHOR_W4, 3 * lam)
+        acc.delta += QuasiElement.single(0, -1, 1, 6 * lam)
+    elif c <= -2:
+        # ((c+1)/2) f(a,b,c) = -delta f(a,b-2,c+1) - (a/12) f(a-1,b-1,c+1)
+        #                      - ((b-2)/3) f(a,b-3,c+2) - ((a-2)/12) f(a+1,b-2,c+1)
+        scale = lam * Fraction(2, c + 1)
+        acc.delta += QuasiElement.single(a, b - 2, c + 1, -scale)
+        if a:
+            push(QuasiMonomial(a - 1, b - 1, c + 1), -Fraction(a, 12) * scale)
+        if b != 2:
+            push(QuasiMonomial(a, b - 3, c + 2), -Fraction(b - 2, 3) * scale)
+        if a != 2:
+            push(QuasiMonomial(a + 1, b - 2, c + 1), -Fraction(a - 2, 12) * scale)
+    elif b <= -3:
+        # ((b+1)/3) f(a,b,c) = -delta f(a,b+1,c-1) - ((a-2)/12) f(a+1,b+1,c-1)
+        #                      - (a/12) f(a-1,b+2,c-1) - ((c-1)/2) f(a,b+3,c-2)
+        scale = lam * Fraction(3, b + 1)
+        acc.delta += QuasiElement.single(a, b + 1, c - 1, -scale)
+        if a != 2:
+            push(QuasiMonomial(a + 1, b + 1, c - 1), -Fraction(a - 2, 12) * scale)
+        if a:
+            push(QuasiMonomial(a - 1, b + 2, c - 1), -Fraction(a, 12) * scale)
+        if c != 1:
+            push(QuasiMonomial(a, b + 3, c - 2), -Fraction(c - 1, 2) * scale)
+    else:  # pragma: no cover - unreachable for weight-4 elements with a <= 2
+        raise ReductionScopeError(f"no reduction rule for {mono}")
+
+
+def _step_w6(mono: QuasiMonomial, lam: Fraction, acc: _Accumulator, push) -> None:
+    a, b, c = mono
+    if mono == ANCHOR_W6:
+        acc.mu += lam
+    elif mono == QuasiMonomial(1, 1, 0):
+        # f(1,1,0) = f(0,0,1) + 3 delta f(0,1,0)
+        acc.mu += lam
+        acc.delta += QuasiElement.single(0, 1, 0, 3 * lam)
+    elif mono == QuasiMonomial(3, 0, 0):
+        # f(3,0,0) = f(1,1,0) + 6 delta f(2,0,0)
+        push(QuasiMonomial(1, 1, 0), lam)
+        acc.delta += QuasiElement.single(2, 0, 0, 6 * lam)
+    elif mono == QuasiMonomial(4, -2, 1):
+        # f(4,-2,1) = f(3,0,0) + 3 delta f(4,-1,0)
+        push(QuasiMonomial(3, 0, 0), lam)
+        acc.delta += QuasiElement.single(4, -1, 0, 3 * lam)
+    elif mono == QuasiMonomial(2, -1, 1):
+        # f(2,-1,1) = f(0,0,1) - 4608 F6
+        #             + delta(4 f(1,-1,1) - 4 f(0,-2,2) + 6 f(0,1,0))
+        # (the -4608 is forced by exact expansion of both sides)
+        acc.mu += lam
+        acc.gens["F6"] += -4608 * lam
+        acc.delta += lam * (
+            QuasiElement.single(1, -1, 1, 4)
+            + QuasiElement.single(0, -2, 2, -4)
+            + QuasiElement.single(0, 1, 0, 6)
+        )
+    elif c >= 2:
+        # with (A,B,C) = (a, b, c):
+        # ((B+1)/3) f(A,B,C) = -delta f(A,B+1,C-1) + ((4-A)/12) f(A+1,B+1,C-1)
+        #                      - (A/12) f(A-1,B+2,C-1) - ((C-1)/2) f(A,B+3,C-2)
+        bb = b + 1
+        if bb == 0:  # pragma: no cover - impossible in weight 6 with c >= 2
+            raise ReductionScopeError(f"degenerate recursion at {mono}")
+        scale = lam * Fraction(3, bb)
+        acc.delta += QuasiElement.single(a, b + 1, c - 1, -scale)
+        if a != 4:
+            push(QuasiMonomial(a + 1, b + 1, c - 1), Fraction(4 - a, 12) * scale)
+        if a:
+            push(QuasiMonomial(a - 1, b + 2, c - 1), -Fraction(a, 12) * scale)
+        if c != 1:
+            push(QuasiMonomial(a, b + 3, c - 2), -Fraction(c - 1, 2) * scale)
+    else:  # pragma: no cover - unreachable inside the declared space
+        raise ReductionScopeError(f"no reduction rule for {mono}")
+
+
+def _scope_w4(mono: QuasiMonomial) -> str | None:
+    if mono.a > 2:
+        return (
+            f"monomial {mono} has E2 exponent {mono.a} > 2; outside the "
+            "weight-4 reduction space"
+        )
+
+
+def _scope_w6(mono: QuasiMonomial) -> str | None:
+    if mono.c < 0 or mono.a > 4:
+        return (
+            f"monomial {mono} outside the weight-6 reduction space "
+            "(need c >= 0 and a <= 4)"
+        )
+
+
 def reduce_weight4(v: QuasiElement) -> ReductionCertificate:
     """Decompose a weight-4 element (all monomials with a <= 2).
 
     The two recursions eliminate c <= -2 and b <= -3 monomials; the explicit
     base relations handle the five weight-4 monomials with small exponents.
     """
-    if not v.is_zero() and v.weight != 4:
-        raise UsageError(f"reduce_weight4 needs weight 4, got {v.weight}")
-    for mono in v.terms:
-        if mono.a > 2:
-            raise ReductionScopeError(
-                f"monomial {mono} has E2 exponent {mono.a} > 2; outside the "
-                "weight-4 reduction space"
-            )
-    acc = _Accumulator(4, GEN_W4)
-    pending = dict(v.terms)
-
-    def push(mono: QuasiMonomial, coeff: Fraction):
-        if coeff:
-            pending[mono] = pending.get(mono, Fraction(0)) + coeff
-            if pending[mono] == 0:
-                del pending[mono]
-
-    def push_delta(mono_a, mono_b, mono_c, coeff: Fraction):
-        nonlocal acc
-        acc.delta = acc.delta + QuasiElement.single(mono_a, mono_b, mono_c, coeff)
-
-    while pending:
-        mono = min(pending, key=_sort_key)
-        lam = pending.pop(mono)
-        if lam == 0:
-            continue
-        a, b, c = mono
-        if mono == ANCHOR_W4:
-            acc.mu += lam
-        elif mono == QuasiMonomial(0, -2, 2):
-            acc.gens["Ga"] += lam
-            acc.mu += lam
-        elif mono == QuasiMonomial(1, 2, -1):
-            acc.gens["Gb"] += lam
-            acc.mu += lam
-        elif mono == QuasiMonomial(2, 0, 0):
-            # f(2,0,0) = f(0,1,0) + 12 delta f(1,0,0)
-            acc.mu += lam
-            push_delta(1, 0, 0, 12 * lam)
-        elif mono == QuasiMonomial(1, -1, 1):
-            # f(1,-1,1) = -2 f(0,-2,2) + 3 f(0,1,0) + 6 delta f(0,-1,1)
-            push(QuasiMonomial(0, -2, 2), -2 * lam)
-            push(ANCHOR_W4, 3 * lam)
-            push_delta(0, -1, 1, 6 * lam)
-        elif c <= -2:
-            # ((c+1)/2) f(a,b,c) = -delta f(a,b-2,c+1) - (a/12) f(a-1,b-1,c+1)
-            #                      - ((b-2)/3) f(a,b-3,c+2) - ((a-2)/12) f(a+1,b-2,c+1)
-            scale = lam * Fraction(2, c + 1)
-            push_delta(a, b - 2, c + 1, -scale)
-            if a:
-                push(QuasiMonomial(a - 1, b - 1, c + 1), -Fraction(a, 12) * scale)
-            if b != 2:
-                push(QuasiMonomial(a, b - 3, c + 2), -Fraction(b - 2, 3) * scale)
-            if a != 2:
-                push(QuasiMonomial(a + 1, b - 2, c + 1), -Fraction(a - 2, 12) * scale)
-        elif b <= -3:
-            # ((b+1)/3) f(a,b,c) = -delta f(a,b+1,c-1) - ((a-2)/12) f(a+1,b+1,c-1)
-            #                      - (a/12) f(a-1,b+2,c-1) - ((c-1)/2) f(a,b+3,c-2)
-            scale = lam * Fraction(3, b + 1)
-            push_delta(a, b + 1, c - 1, -scale)
-            if a != 2:
-                push(QuasiMonomial(a + 1, b + 1, c - 1), -Fraction(a - 2, 12) * scale)
-            if a:
-                push(QuasiMonomial(a - 1, b + 2, c - 1), -Fraction(a, 12) * scale)
-            if c != 1:
-                push(QuasiMonomial(a, b + 3, c - 2), -Fraction(c - 1, 2) * scale)
-        else:  # pragma: no cover - unreachable for weight-4 elements with a <= 2
-            raise ReductionScopeError(f"no reduction rule for {mono}")
-    return ReductionCertificate(v, 4, acc.mu, acc.gens, acc.delta)
+    return _reduce(v, 4, GEN_W4, _scope_w4, _step_w4)
 
 
 def reduce_weight6(v: QuasiElement) -> ReductionCertificate:
     """Decompose a weight-6 element (monomials with a <= 4 and c >= 0)."""
-    if not v.is_zero() and v.weight != 6:
-        raise UsageError(f"reduce_weight6 needs weight 6, got {v.weight}")
-    for mono in v.terms:
-        if mono.c < 0 or mono.a > 4:
-            raise ReductionScopeError(
-                f"monomial {mono} outside the weight-6 reduction space "
-                "(need c >= 0 and a <= 4)"
-            )
-    acc = _Accumulator(6, GEN_W6)
-    pending = dict(v.terms)
-
-    def push(mono: QuasiMonomial, coeff: Fraction):
-        if coeff:
-            pending[mono] = pending.get(mono, Fraction(0)) + coeff
-            if pending[mono] == 0:
-                del pending[mono]
-
-    def push_delta(elem: QuasiElement):
-        acc.delta = acc.delta + elem
-
-    while pending:
-        mono = min(pending, key=_sort_key)
-        lam = pending.pop(mono)
-        if lam == 0:
-            continue
-        a, b, c = mono
-        if mono == ANCHOR_W6:
-            acc.mu += lam
-        elif mono == QuasiMonomial(1, 1, 0):
-            # f(1,1,0) = f(0,0,1) + 3 delta f(0,1,0)
-            acc.mu += lam
-            push_delta(QuasiElement.single(0, 1, 0, 3 * lam))
-        elif mono == QuasiMonomial(3, 0, 0):
-            # f(3,0,0) = f(1,1,0) + 6 delta f(2,0,0)
-            push(QuasiMonomial(1, 1, 0), lam)
-            push_delta(QuasiElement.single(2, 0, 0, 6 * lam))
-        elif mono == QuasiMonomial(4, -2, 1):
-            # f(4,-2,1) = f(3,0,0) + 3 delta f(4,-1,0)
-            push(QuasiMonomial(3, 0, 0), lam)
-            push_delta(QuasiElement.single(4, -1, 0, 3 * lam))
-        elif mono == QuasiMonomial(2, -1, 1):
-            # f(2,-1,1) = f(0,0,1) - 4608 F6
-            #             + delta(4 f(1,-1,1) - 4 f(0,-2,2) + 6 f(0,1,0))
-            # (the -4608 is forced by exact expansion of both sides)
-            acc.mu += lam
-            acc.gens["F6"] += -4608 * lam
-            push_delta(
-                lam
-                * (
-                    QuasiElement.single(1, -1, 1, 4)
-                    + QuasiElement.single(0, -2, 2, -4)
-                    + QuasiElement.single(0, 1, 0, 6)
-                )
-            )
-        elif c >= 2:
-            # with (A,B,C) = (a, b, c):
-            # ((B+1)/3) f(A,B,C) = -delta f(A,B+1,C-1) + ((4-A)/12) f(A+1,B+1,C-1)
-            #                      - (A/12) f(A-1,B+2,C-1) - ((C-1)/2) f(A,B+3,C-2)
-            bb = b + 1
-            if bb == 0:  # pragma: no cover - impossible in weight 6 with c >= 2
-                raise ReductionScopeError(f"degenerate recursion at {mono}")
-            scale = lam * Fraction(3, bb)
-            push_delta(QuasiElement.single(a, b + 1, c - 1, -scale))
-            if a != 4:
-                push(QuasiMonomial(a + 1, b + 1, c - 1), Fraction(4 - a, 12) * scale)
-            if a:
-                push(QuasiMonomial(a - 1, b + 2, c - 1), -Fraction(a, 12) * scale)
-            if c != 1:
-                push(QuasiMonomial(a, b + 3, c - 2), -Fraction(c - 1, 2) * scale)
-        else:  # pragma: no cover - unreachable inside the declared space
-            raise ReductionScopeError(f"no reduction rule for {mono}")
-    return ReductionCertificate(v, 6, acc.mu, acc.gens, acc.delta)
+    return _reduce(v, 6, GEN_W6, _scope_w6, _step_w6)
 
 
 def verify_certificate(cert: ReductionCertificate, prec: int) -> bool:

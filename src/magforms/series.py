@@ -615,23 +615,3 @@ def pow_int(f: QSeries, n: int) -> QSeries:
         if m:
             base = mul(base, base)
     return result
-
-
-def delta(f: QSeries) -> QSeries:
-    return f.delta()
-
-
-def antiderivative(f: QSeries, order: int = 1) -> QSeries:
-    return f.antiderivative(order)
-
-
-def substitute_power(f: QSeries, m: int) -> QSeries:
-    return f.substitute_power(m)
-
-
-def coefficient(f: QSeries, n: int) -> Fraction:
-    return f.coefficient(n)
-
-
-def integrality_check(f: QSeries, p: int | None = None) -> IntegralityReport:
-    return f.integrality_check(p)

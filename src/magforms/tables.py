@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .series import UsageError
+
 
 @dataclass(frozen=True)
 class LiftTableRow:
@@ -123,4 +125,4 @@ def get_row(row_id: int) -> LiftTableRow:
     for row in LIFT_TABLE:
         if row.row_id == row_id:
             return row
-    raise KeyError(f"no lift table row {row_id}")
+    raise UsageError(f"no lift table row {row_id}")

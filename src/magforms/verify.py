@@ -58,6 +58,13 @@ def _val_ge(series: QSeries, p: int, e: int):
     return None
 
 
+def _add_integral(report: VerificationReport, name: str, res) -> None:
+    """Add an integrality or magnetic result, naming the first bad denominator."""
+    report.add(
+        name, res.ok, "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}"
+    )
+
+
 # ----------------------------------------------------------------------
 # theorem drivers
 # ----------------------------------------------------------------------
@@ -87,21 +94,18 @@ def verify_theorem(which: str, prec: int = 2000) -> VerificationReport:
     with ReportTimer(report):
         if which == "th1":
             for tag in ("F4a", "F4b"):
-                form = named_form(tag, prec)
-                res = form.antiderivative().integrality_check()
-                report.add(
+                _add_integral(
+                    report,
                     f"antiderivative of {tag} integral through q^{prec}",
-                    res.ok,
-                    "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}",
+                    named_form(tag, prec).antiderivative().integrality_check(),
                 )
         elif which == "th2":
             form = named_form("F6", prec)
             for order in (1, 2):
-                res = form.antiderivative(order).integrality_check()
-                report.add(
+                _add_integral(
+                    report,
                     f"order-{order} antiderivative of F6 integral through q^{prec}",
-                    res.ok,
-                    "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}",
+                    form.antiderivative(order).integrality_check(),
                 )
         elif which in ("w4", "w6"):
             weight = int(which[1])
@@ -114,11 +118,10 @@ def verify_theorem(which: str, prec: int = 2000) -> VerificationReport:
                     f"certificate f{exps} - {anchor_name} verifies at prec {cert_prec}",
                     verify_certificate(reduce(elem), cert_prec),
                 )
-                rep = magnetic_check(elem, mag_prec)
-                report.add(
+                _add_integral(
+                    report,
                     f"f{exps} - {anchor_name} magnetic through q^{mag_prec}",
-                    rep.ok,
-                    "" if rep.ok else f"denominator {rep.denominator} at q^{rep.exponent}",
+                    magnetic_check(elem, mag_prec),
                 )
         else:
             raise UsageError(f"unknown theorem id {which!r}; use th1, th2, w4, w6")
@@ -185,11 +188,10 @@ def verify_table1(
                     flipped,
                     "the tabulated lift scalar carries the wrong sign" if flipped else "",
                 )
-            mag = magnetic_check(rhs.truncate(magnetic_prec), magnetic_prec)
-            report.add(
+            _add_integral(
+                report,
                 f"row {row.row_id}: right-hand side strongly magnetic through q^{magnetic_prec}",
-                mag.ok,
-                "" if mag.ok else f"denominator {mag.denominator} at q^{mag.exponent}",
+                magnetic_check(rhs.truncate(magnetic_prec), magnetic_prec),
             )
     return report
 
@@ -255,10 +257,8 @@ def verify_magnetic_expression(
         series = evaluate(expression, prec)
         rep = magnetic_check(series, prec, order=order, p=p)
         kind = "integral" if p is None else f"{p}-integral"
-        report.add(
-            f"order-{order} antiderivative {kind} through q^{rep.window[1]}",
-            rep.ok,
-            "" if rep.ok else f"denominator {rep.denominator} at q^{rep.exponent}",
+        _add_integral(
+            report, f"order-{order} antiderivative {kind} through q^{rep.window[1]}", rep
         )
     return report
 
@@ -366,11 +366,10 @@ def verify_misc(prec: int = 800, family_prec: int = 1000) -> VerificationReport:
 
         for m in (1, 2, 3, 4, 6):
             for jw in (4, 6):
-                rep = magnetic_check(_family_element(m, jw), family_prec)
-                report.add(
+                _add_integral(
+                    report,
                     f"E2^{m} (delta E{jw})/E{jw} magnetic through q^{family_prec}",
-                    rep.ok,
-                    "" if rep.ok else f"denominator {rep.denominator} at q^{rep.exponent}",
+                    magnetic_check(_family_element(m, jw), family_prec),
                 )
         for jw in (4, 6):
             rep = magnetic_check(_family_element(5, jw), family_prec)
@@ -382,22 +381,14 @@ def verify_misc(prec: int = 800, family_prec: int = 1000) -> VerificationReport:
                 else "no violation found on the window",
             )
 
-        ls8 = named_form("LS8", prec)
-        for order in (1, 2):
-            res = ls8.antiderivative(order).integrality_check()
-            report.add(
-                f"LS8 order-{order} antiderivative integral through q^{prec}",
-                res.ok,
-                "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}",
-            )
-        t8 = named_form("Triple8", prec)
-        for order in (1, 2, 3):
-            res = t8.antiderivative(order).integrality_check()
-            report.add(
-                f"Triple8 order-{order} antiderivative integral through q^{prec}",
-                res.ok,
-                "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}",
-            )
+        for tag, orders in (("LS8", (1, 2)), ("Triple8", (1, 2, 3))):
+            form = named_form(tag, prec)
+            for order in orders:
+                _add_integral(
+                    report,
+                    f"{tag} order-{order} antiderivative integral through q^{prec}",
+                    form.antiderivative(order).integrality_check(),
+                )
 
         # exploratory: outside the weight-4 reduction space (a > 2) the
         # monomial differences are expected to lose the magnetic property
@@ -425,11 +416,10 @@ def verify_misc(prec: int = 800, family_prec: int = 1000) -> VerificationReport:
         for tag in ("HK_num1", "HK_num2"):
             series = named_form(tag, prec).antiderivative()
             for p in (5, 11, 17, 23, 29, 41, 47):
-                res = series.integrality_check(p)
-                report.add(
+                _add_integral(
+                    report,
                     f"{tag} antiderivative {p}-integral through q^{prec}",
-                    res.ok,
-                    "" if res.ok else f"denominator {res.denominator} at q^{res.exponent}",
+                    series.integrality_check(p),
                 )
             bad = [
                 p for p in (7, 13, 19, 31, 37, 43) if not series.integrality_check(p).ok

@@ -42,8 +42,8 @@ PLUS_NAMES = ("g0", "g1", "g2", "h0", "f4a", "f4b", "f6half")
 LAURENT = ("q", "1/Delta", "1/Delta^3", "q^-1", "j^2", "1/(E4-1)", "dilate(j,4)*Delta")
 # (k, m): per weight a pole order that needs a j(4tau) step above the pool
 # seeds, and the seed k = 3, m = 1, whose pool leads sit above windows 0-2;
-# weight 3/2 (k = 1) has no element q^-m + O(q) with zero constant term, so
-# its basis cases record the BasisError, at one window since each costs ~1 s
+# weight 3/2 (k = 1) has no seed 1 + O(q) or q^-1 + O(q) for the j(4tau)
+# ladder to start from, so its basis cases record the BasisError, at one window
 BASIS = ((0, 4), (1, 1), (2, 4), (3, 1), (3, 5))
 BASIS_MAX_M = 8
 

@@ -279,3 +279,14 @@ def test_cli_reduce():
     assert json.loads(weight6.stdout)["generators"]["F6"] == "-4608"
     unsupported = run_cli("reduce", "f(4,-2,0) - f(0,0,0)")
     assert unsupported.returncode == 2
+    # a named form is an expression, not an element
+    assert run_cli("reduce", "E4").returncode == 2
+
+
+@pytest.mark.parametrize("rows", ["x", "99", "1,y"])
+def test_cli_table1_bad_rows_exit_code(rows):
+    # a malformed or unknown row id is a usage error, not a counterexample
+    proc = run_cli("table1", "--rows", rows)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

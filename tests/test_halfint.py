@@ -262,8 +262,11 @@ def test_basis_seeds_from_one_pool_size(k):
 def test_basis_weight_3_half_has_no_seed():
     # weight 3/2 has no element 1 + O(q), the m = 0 seed that every basis
     # builds first, so even the pole-order-1 basis fails
-    with pytest.raises(BasisError):
+    with pytest.raises(BasisError, match="weight 3/2"):
         plus_basis(1, [1], 40)
+    # a negative weight parameter is refused before any solve
+    with pytest.raises(UsageError, match="k must be >= 0"):
+        plus_basis(-1, [0], 40)
 
 
 def test_t4_prime_recursions_family4():

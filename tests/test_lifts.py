@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magforms.forms import discriminant, named_form
-from magforms.halfint import big_t_p, named_plus_form, t_p2_series, t4_prime
+from magforms.halfint import big_t_p, kronecker, named_plus_form, t_p2_series, t4_prime
 from magforms.lifts import (
     CongruenceReport,
     lift_discriminant,
@@ -64,6 +66,61 @@ def test_phi_psi_square_part():
         expected = square_part(f, k)
         hi = min(recovered.prec, expected.prec)
         assert recovered.agrees_with(expected, 1, hi)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _moebius(n):
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 5),
+    lead=st.integers(-6, 2),
+    coeffs=st.lists(st.integers(-99, 99), min_size=1, max_size=150),
+    data=st.data(),
+)
+def test_psi_phi_match_divisor_sums(k, lead, coeffs, data):
+    # A(n) = sum_{d|n} (d|D) d^(k-1) a(|D| (n/d)^2), and the reverse map
+    # b(n) = sum_{d|n} mu(d) (d|D) d^(k-1) F(n/d) at the exponent |D| n^2
+    f = QSeries(lead, coeffs)
+    D = lift_discriminant(k)
+    if f.prec < abs(D):
+        with pytest.raises(PrecisionError):
+            psi(f, k)
+    else:
+        lifted = psi(f, k)
+        for n in range(1, lifted.prec + 1):
+            expected = sum(
+                kronecker(d, D) * d ** (k - 1) * f._get(abs(D) * (n // d) ** 2)
+                for d in _divisors(n)
+            )
+            assert lifted.coefficient(n) == expected
+    if f.prec < 1:
+        return
+    full = abs(D) * (f.prec + 1) ** 2 - 1
+    out_prec = data.draw(st.integers(1, full))
+    back = phi(f, k, out_prec)
+    assert back.lead == 1 and back.prec == out_prec
+    squares = {abs(D) * n * n: n for n in range(1, f.prec + 1)}
+    for e in range(1, out_prec + 1):
+        n = squares.get(e)
+        expected = 0 if n is None else sum(
+            _moebius(d) * kronecker(d, D) * d ** (k - 1) * f._get(n // d)
+            for d in _divisors(n)
+        )
+        assert back.coefficient(e) == expected
 
 
 def test_square_part():

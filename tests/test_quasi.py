@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magforms.forms import eisenstein
 from magforms.quasi import (
@@ -220,3 +222,51 @@ def test_parse_format_round_trip():
     assert parse_element("-f(0,1,0) + f(2,0,0)").weight == 4
     with pytest.raises(UsageError):
         parse_element("f(1,2)")
+    # the element is read with the expression grammar: parentheses and a
+    # rational divisor parse, and 0 is the zero element
+    assert parse_element("2*(f(0,1,0) - f(2,0,0))") == 2 * (single(0, 1, 0) - single(2, 0, 0))
+    assert parse_element("f(0,1,0)/2") == Fraction(1, 2) * single(0, 1, 0)
+    assert parse_element("0").is_zero()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5",
+        "f(0,1,0) + 1",
+        "E4",
+        "f(0,1,0)*f(0,1,0)",
+        "f(0,1,0)/0",
+        "f(0,1,0)^2",
+        "",
+        "3f(0,1,0)",
+        "3 f(0,1,0)",
+        "+f(0,1,0)",
+    ],
+)
+def test_parse_element_rejects(text):
+    # only rational multiples of f(a,b,c) joined by + and - are elements
+    with pytest.raises(UsageError):
+        parse_element(text)
+
+
+# the weight-4 monomials f(a, b, c) with a <= 2 and |c| <= 3
+_MONOMIALS_W4 = [
+    (a, (4 - 2 * a - 6 * c) // 4, c)
+    for a in range(3)
+    for c in range(-3, 4)
+    if (4 - 2 * a - 6 * c) % 4 == 0
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_MONOMIALS_W4),
+        st.fractions(max_denominator=50).filter(lambda x: abs(x.numerator) < 10**6),
+        max_size=5,
+    )
+)
+def test_parse_element_round_trips_str(terms):
+    e = QuasiElement(4, terms)
+    assert parse_element(str(e)) == e
