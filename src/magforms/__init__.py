@@ -21,7 +21,6 @@ from .series import (
     pow_int,
 )
 from .forms import (
-    ConsistencyError,
     FormName,
     discriminant,
     e24,
@@ -36,7 +35,6 @@ from .forms import (
 
 __all__ = [
     "AntiderivativeError",
-    "ConsistencyError",
     "DomainError",
     "FormName",
     "IntegralityReport",

@@ -2,7 +2,8 @@
 
 Verbs: expand, verify, table1, congruence, misc, basis, lift, unlift, reduce.
 Exit codes: 0 all checks pass, 1 a mathematical counterexample was found,
-2 usage or parse error, 3 precision shortfall.
+2 usage or parse error or an unreadable or unwritable path, 3 precision
+shortfall.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
-    except (UsageError, SeriesError) as exc:
+    except (UsageError, SeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -10,28 +10,19 @@ requested window plus the exponents its inverses lose, and the final
 ``truncate``, which refuses to extend a window, checks that the window was
 reached.  The named quotients lose nothing: F4a, F4b and F6 divide by powers
 of E4 and E6 (valuation 0), and the j-quotients divide by powers of
-polynomials in j, which gains one or two exponents.  Two independently
-computed expansions back the discriminant and E_{2,4}; a mismatch aborts
-construction.
+polynomials in j, which gains one or two exponents.
+
+Every expansion is memoised at the widest window built so far
+(:func:`magforms.series.widest_window`); narrower windows are truncations.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
-from .series import (
-    QSeries,
-    SeriesError,
-    UsageError,
-    linear_combine,
-)
-
-
-class ConsistencyError(SeriesError):
-    """Two independent constructions of the same object disagreed."""
+from .series import QSeries, UsageError, linear_combine, widest_window
 
 
 class FormName(enum.Enum):
@@ -54,7 +45,6 @@ class FormName(enum.Enum):
 _EIS_CONSTANTS = {2: -24, 4: 240, 6: -504}
 
 
-@lru_cache(maxsize=None)
 def _sigma_sieve(power: int, limit: int) -> tuple[int, ...]:
     """sigma_power(n) for n = 0..limit (index 0 unused, kept 0)."""
     sums = [0] * (limit + 1)
@@ -65,7 +55,7 @@ def _sigma_sieve(power: int, limit: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-@lru_cache(maxsize=None)
+@widest_window
 def eisenstein(k: int, prec: int) -> QSeries:
     """E_k = 1 + c_k sum sigma_{k-1}(n) q^n for k in {2, 4, 6}."""
     if k not in _EIS_CONSTANTS:
@@ -77,7 +67,6 @@ def eisenstein(k: int, prec: int) -> QSeries:
     return QSeries(0, [1] + [c * sig[n] for n in range(1, prec + 1)])
 
 
-@lru_cache(maxsize=None)
 def _eta_cube(prec: int) -> QSeries:
     """prod (1-q^m)^3 = sum_{k>=0} (-1)^k (2k+1) q^{k(k+1)/2}."""
     coeffs = [0] * (prec + 1)
@@ -88,35 +77,31 @@ def _eta_cube(prec: int) -> QSeries:
     return QSeries(0, coeffs)
 
 
-@lru_cache(maxsize=None)
+@widest_window
 def discriminant(prec: int) -> QSeries:
-    """Delta = q prod (1-q^m)^24, cross-checked against (E4^3 - E6^2)/1728."""
+    """Delta = q prod (1-q^m)^24 = q (eta^3)^8."""
     if prec < 1:
         raise UsageError("prec must be >= 1 for Delta")
     j3 = _eta_cube(prec)
-    j24 = ((j3 * j3) * (j3 * j3)) ** 2
-    product_form = j24.shift(1).truncate(prec)
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    poly_form = ((e4**3 - e6**2) / 1728).truncate(prec).restrict(1, prec)
-    if product_form != poly_form:
-        raise ConsistencyError(
-            "Delta: eta-product and Eisenstein-polynomial expansions disagree"
-        )
-    return product_form
+    return (((j3 * j3) * (j3 * j3)) ** 2).shift(1).truncate(prec)
 
 
-@lru_cache(maxsize=None)
 def j_invariant(prec: int) -> QSeries:
     """j = E4^3 / Delta, with lead exponent -1."""
     if prec < 1:
         raise UsageError("prec must be >= 1 for j")
+    return _j(prec)
+
+
+# j_invariant keeps its prec check outside the memo: j(0) would truncate the
+# kept series, where j_invariant(0) raises
+@widest_window
+def _j(prec: int) -> QSeries:
     work = prec + 2
-    out = eisenstein(4, work) ** 3 * discriminant(work).inverse()
-    return out.truncate(prec)
+    return (eisenstein(4, work) ** 3 * discriminant(work).inverse()).truncate(prec)
 
 
-@lru_cache(maxsize=None)
+@widest_window
 def theta(prec: int) -> QSeries:
     """theta = 1 + 2 sum_{n>=1} q^{n^2}."""
     if prec < 0:
@@ -128,30 +113,14 @@ def theta(prec: int) -> QSeries:
     return QSeries(0, coeffs)
 
 
-@lru_cache(maxsize=None)
+@widest_window
 def e24(prec: int) -> QSeries:
-    """The weight-2 form on level 4 with odd-index divisor sums.
-
-    Built both as (-E2(q) + 3 E2(q^2) - 2 E2(q^4))/24 and directly as
-    sum over odd n of sigma_1(n) q^n; the two must agree exactly.
-    """
+    """The weight-2 form on level 4: sum over odd n of sigma_1(n) q^n,
+    which is (-E2(q) + 3 E2(q^2) - 2 E2(q^4))/24."""
     if prec < 0:
         raise UsageError("prec must be >= 0")
-    e2 = eisenstein(2, prec)
-    e2_2 = e2.substitute_power(2).truncate(prec)
-    e2_4 = e2.substitute_power(4).truncate(prec)
-    combo = linear_combine(
-        [
-            (Fraction(-1, 24), e2),
-            (Fraction(3, 24), e2_2),
-            (Fraction(-2, 24), e2_4),
-        ]
-    ).truncate(prec)
     sig = _sigma_sieve(1, prec)
-    direct = QSeries(0, [0] + [sig[n] if n % 2 else 0 for n in range(1, prec + 1)])
-    if combo != direct:
-        raise ConsistencyError("E_{2,4}: combination and divisor-sum forms disagree")
-    return direct
+    return QSeries(0, [0] + [sig[n] if n % 2 else 0 for n in range(1, prec + 1)])
 
 
 def quasi_monomial(a: int, b: int, c: int, prec: int) -> QSeries:
@@ -190,18 +159,24 @@ _J_FORM_DATA = {
 }
 
 
-def _build_j_quotient(name: FormName, workprec: int) -> QSeries:
-    e4_power, num, den, den_power = _J_FORM_DATA[name]
-    j = j_invariant(workprec)
-    numerator = poly_in_j(num, j)
-    denominator = poly_in_j(den, j) ** den_power
-    out = numerator * denominator.inverse()
-    if e4_power:
-        out = out * eisenstein(4, workprec) ** e4_power
-    return out
+@widest_window
+def _quotient(name: FormName, work: int) -> QSeries:
+    """F4a, F4b, F6 or a j-quotient through q^work (work >= 1)."""
+    if name is FormName.F4A:
+        out = discriminant(work) * eisenstein(4, work).inverse() ** 2
+    elif name is FormName.F4B:
+        out = eisenstein(4, work) * discriminant(work) * eisenstein(6, work).inverse() ** 2
+    elif name is FormName.F6:
+        out = eisenstein(6, work) * discriminant(work) * eisenstein(4, work).inverse() ** 3
+    else:
+        e4_power, num, den, den_power = _J_FORM_DATA[name]
+        j = j_invariant(work)
+        out = poly_in_j(num, j) * (poly_in_j(den, j) ** den_power).inverse()
+        if e4_power:
+            out = out * eisenstein(4, work) ** e4_power
+    return out.truncate(work)
 
 
-@lru_cache(maxsize=None)
 def named_form(name, prec: int) -> QSeries:
     """Expansion of a named form; accepts a FormName or its string tag."""
     if isinstance(name, str):
@@ -225,18 +200,7 @@ def named_form(name, prec: int) -> QSeries:
         return e24(prec)
     # the quotients lose no exponents, so they are built at the window itself
     # (at least q^1, which Delta and j need); truncate rejects a lead above prec
-    work = max(prec, 1)
-    if name is FormName.F4A:
-        out = discriminant(work) * eisenstein(4, work).inverse() ** 2
-    elif name is FormName.F4B:
-        out = eisenstein(4, work) * discriminant(work) * eisenstein(6, work).inverse() ** 2
-    elif name is FormName.F6:
-        out = eisenstein(6, work) * discriminant(work) * eisenstein(4, work).inverse() ** 3
-    elif name in _J_FORM_DATA:
-        out = _build_j_quotient(name, work)
-    else:
-        raise UsageError(f"unhandled form name {name}")
-    return out.truncate(prec)
+    return _quotient(name, max(prec, 1)).truncate(prec)
 
 
 # ----------------------------------------------------------------------

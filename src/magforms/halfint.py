@@ -11,7 +11,7 @@ provides:
 * the raising operator sending weight k+1/2 to k+5/2;
 * construction of the canonical basis elements q^{-m} + O(q) by exact linear
   algebra over a theta/E_{2,4}/Delta(4tau) pool, extended to deep poles by
-  j(4tau) multiplication;
+  j(4tau) multiplication, each element memoised at its widest window;
 * the named weight-1/2 and 5/2 forms used throughout the verification suite.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .series import (
@@ -28,6 +27,7 @@ from .series import (
     SeriesError,
     UsageError,
     linear_combine,
+    widest_window,
 )
 from .forms import discriminant, e24, eisenstein, j_invariant, theta
 
@@ -320,18 +320,21 @@ def _seed_combination(k: int, m: int):
 
 
 def _build_seed(k: int, m: int, prec: int) -> QSeries:
-    """Construct the basis element f_m (m <= 3) at full precision."""
+    """Construct the basis element f_m (m <= 3) through q^prec."""
     combo = _seed_combination(k, m)
     if combo is None:
         raise BasisError(
             f"basis element q^-{m} (k={k}) not found: pool with "
             f"s_max={_SEED_S_MAX} cannot represent q^-{m}"
         )
+    # theta^a E_{2,4}^b / Delta(4tau)^s starts at q^(b - 4s), which may lie
+    # above prec: build through every pool lead, then truncate
+    work = max([prec] + [b - 4 * s for _, (a, b, s) in combo])
     series = linear_combine(
-        [(coeff, _pool_element(a, b, s, prec)) for coeff, (a, b, s) in combo]
-    ).restrict(-m, prec)
+        [(coeff, _pool_element(a, b, s, work)) for coeff, (a, b, s) in combo]
+    ).restrict(-m, work)
     _validate_shape(k, m, series)
-    return series
+    return series.truncate(prec)
 
 
 def _validate_shape(k: int, m: int, series: QSeries) -> None:
@@ -366,37 +369,30 @@ def _admissible_pole_orders(k: int, max_m: int) -> list[int]:
     return [m for m in range(max_m + 1) if admissible(k, -m)]
 
 
-@lru_cache(maxsize=8)
-def _basis_elements(k: int, max_m: int, prec: int) -> dict[int, PlusForm]:
-    """All admissible basis elements with pole order <= max_m, via seeds
-    plus repeated multiplication by j(4tau) with integral corrections."""
-    orders = _admissible_pole_orders(k, max_m)
-    generations = max(0, (max_m + 3) // 4)
-    build_prec = prec + 4 * generations + 8
-    elements: dict[int, QSeries] = {}
-    for m in [m for m in orders if m < 4]:
+@widest_window
+def _element(k: int, m: int, prec: int) -> QSeries:
+    """The basis element q^-m + O(q) through q^prec: a seed for m < 4, else
+    f_(m-4) j(4tau) with integral corrections by the lower elements."""
+    if m < 4:
         if k == 2 and m == 0:
-            elements[0] = _g0_series(build_prec)
-        elif k == 2 and m == 3:
-            elements[3] = _f3_series(build_prec)
-        else:
-            elements[m] = _build_seed(k, m, build_prec)
-    j4 = None
-    for m in [m for m in orders if m >= 4]:
-        if j4 is None:
-            jp = build_prec // 4 + max_m + 8
-            j4 = j_invariant(jp).substitute_power(4)
-        # each element q^-m2 + O(q) vanishes at q^-m3 for m3 < m2, so every
-        # correction scalar can be read off the raw product
-        product = elements[m - 4] * j4
-        terms = [(1, product)] + [
-            (-product._get(-m2), elements[m2]) for m2 in orders if m2 < m and product._get(-m2)
-        ]
-        combo = linear_combine(terms)
-        series = combo.restrict(-m, combo.prec)
-        _validate_shape(k, m, series)
-        elements[m] = series
-    return {m: PlusForm(k, s.truncate(prec)) for m, s in elements.items()}
+            return _g0_series(prec)
+        if k == 2 and m == 3:
+            return _f3_series(prec)
+        return _build_seed(k, m, prec)
+    # f_(m-4) has valuation 4-m and j(4tau) valuation -4, so each factor
+    # costs the other 4 and m-4 exponents
+    product = _element(k, m - 4, prec + 4) * _sub4(j_invariant, prec + m)
+    # each element q^-m2 + O(q) vanishes at q^-m3 for m3 < m2, so every
+    # correction scalar can be read off the raw product; the highest order
+    # goes first, so the lower ones are truncations of its chain
+    terms = [(1, product)] + [
+        (-product._get(-m2), _element(k, m2, prec))
+        for m2 in reversed(_admissible_pole_orders(k, m - 1))
+        if product._get(-m2)
+    ]
+    series = linear_combine(terms).restrict(-m, prec)
+    _validate_shape(k, m, series)
+    return series
 
 
 def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
@@ -417,10 +413,13 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
             "weight 3/2 (k = 1) has no basis: the j(4tau) ladder starts from the "
             "seeds 1 + O(q) and q^-1 + O(q), and neither exists in weight 3/2"
         )
-    elements = _basis_elements(k, max(m_list), prec)
+    if prec < 0:
+        raise PrecisionError("the seed 1 + O(q) needs a window through q^0")
+    # the highest order first, so the lower ones are truncations of its chain
+    elements = {m: _element(k, m, prec) for m in sorted(m_list, reverse=True)}
     # weight 5/2 takes its seeds from g0 and f3, not from the pool
     pool_s_max = 0 if k == 2 else _SEED_S_MAX
-    return PlusBasis(k, {m: elements[m] for m in m_list}, pool_s_max)
+    return PlusBasis(k, {m: PlusForm(k, elements[m]) for m in m_list}, pool_s_max)
 
 
 # ----------------------------------------------------------------------
@@ -432,6 +431,7 @@ def _sub4(series_builder, work: int) -> QSeries:
     return series_builder(work // 4 + 2).substitute_power(4)
 
 
+@widest_window
 def _g0_series(prec: int) -> QSeries:
     th = theta(prec)
     return (th * (th**4 - 20 * e24(prec))).truncate(prec)
@@ -439,6 +439,7 @@ def _g0_series(prec: int) -> QSeries:
 
 # g1, g2 and h0 each carry one factor of valuation -4, 1/Delta(4tau) or
 # j(4tau), so they are built at prec + 4 and lose exactly those 4 exponents.
+@widest_window
 def _g1_series(prec: int) -> QSeries:
     work = prec + 4
     e4_4 = _sub4(lambda p: eisenstein(4, p), work)
@@ -447,6 +448,7 @@ def _g1_series(prec: int) -> QSeries:
     return (theta(work) * e4_4**2 * e6_4 * d4.inverse()).truncate(prec)
 
 
+@widest_window
 def _g2_series(prec: int) -> QSeries:
     work = prec + 4
     return (_g0_series(work) * _sub4(j_invariant, work)).truncate(prec)
@@ -466,6 +468,7 @@ def _f3_series(prec: int) -> QSeries:
     return series
 
 
+@widest_window
 def _h0_series(prec: int) -> QSeries:
     work = prec + 4
     th = theta(work)
@@ -495,7 +498,6 @@ _G_COMBINATIONS = {
 PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS) | frozenset(_G_COMBINATIONS) | {"f6half"}
 
 
-@lru_cache(maxsize=None)
 def named_plus_form(name: str, prec: int) -> PlusForm:
     """The named weight-1/2 and 5/2 forms, plus f6half of weight 7/2."""
     if name in _NAMED_BUILDERS:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import wraps
 from itertools import accumulate
 from math import lcm
 from typing import Iterable, Sequence, Union
@@ -615,3 +616,30 @@ def pow_int(f: QSeries, n: int) -> QSeries:
         if m:
             base = mul(base, base)
     return result
+
+
+def widest_window(build):
+    """Memoise ``build(*key, prec)`` on ``key``, keeping the widest window built.
+
+    A request with ``prec`` in ``[kept.lead, kept.prec]`` is served by
+    ``truncate``, which is exact because every coefficient on a window is
+    exact; any other request calls ``build``, so its checks still run, and a
+    wider result replaces the kept one.  Memory grows with the keys, never
+    with the windows asked for.  A builder may go behind this memo only if
+    ``build(*key, p) == build(*key, P).truncate(p)``, or both raise the same
+    exception class, for every ``p <= P``.
+    """
+    kept: dict[tuple, QSeries] = {}
+
+    @wraps(build)
+    def memo(*args):
+        key, prec = args[:-1], args[-1]
+        series = kept.get(key)
+        if series is not None and series.lead <= prec <= series.prec:
+            return series.truncate(prec)
+        series = build(*args)
+        if key not in kept or series.prec > kept[key].prec:
+            kept[key] = series
+        return series
+
+    return memo

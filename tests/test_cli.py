@@ -290,3 +290,21 @@ def test_cli_table1_bad_rows_exit_code(rows):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("expand", "E4", "--prec", "3", "--no-cache", "--out", "{file}/x.json"),
+        ("expand", "E4", "--prec", "3", "--cache-dir", "{file}"),
+        ("basis", "--k", "0", "--m", "3", "--prec", "8", "--out", "{file}/x.json"),
+    ],
+)
+def test_cli_unwritable_path_exit_code(tmp_path, args):
+    # a path that cannot be written is a usage error, not a counterexample
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    proc = run_cli(*(a.format(file=blocker) for a in args))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,7 @@
 """Classical q-expansions and the second-order operators."""
 
+from fractions import Fraction
+
 import pytest
 
 from magforms.forms import (
@@ -14,7 +16,7 @@ from magforms.forms import (
     specific_d_apply,
     theta,
 )
-from magforms.series import UsageError
+from magforms.series import UsageError, linear_combine
 
 
 def test_eisenstein_values():
@@ -37,7 +39,8 @@ def test_ramanujan_system_prec_500():
 def test_discriminant():
     d = discriminant(30)
     assert d.lead == 1 and d.coefficient(1) == 1 and d.coefficient(2) == -24
-    # cross-identity is asserted inside the constructor; check it externally too
+    # the constructor builds the eta product only; the Eisenstein identity
+    # is checked here and in acceptance c03 at q^1000
     e4, e6 = eisenstein(4, 30), eisenstein(6, 30)
     assert ((e4**3 - e6**2) / 1728).agrees_with(d, 1, 30)
 
@@ -63,6 +66,18 @@ def test_e24():
     assert e.coefficient(3) == 4  # sigma_1(3)
     assert e.coefficient(2) == 0  # even exponents vanish
     assert e.coefficient(1) == 1
+    # the constructor builds the divisor sums only; check them against
+    # (-E2(q) + 3 E2(q^2) - 2 E2(q^4))/24
+    prec = 500
+    e2 = eisenstein(2, prec)
+    combo = linear_combine(
+        [
+            (Fraction(-1, 24), e2),
+            (Fraction(3, 24), e2.substitute_power(2).truncate(prec)),
+            (Fraction(-2, 24), e2.substitute_power(4).truncate(prec)),
+        ]
+    )
+    assert combo == e24(prec)
 
 
 def test_quasi_monomial():

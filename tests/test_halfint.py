@@ -269,6 +269,13 @@ def test_basis_weight_3_half_has_no_seed():
         plus_basis(-1, [0], 40)
 
 
+def test_basis_window_below_q0_is_a_precision_error():
+    # every basis holds, or is built on, 1 + O(q), which needs q^0
+    for k, m in ((0, 4), (2, 3), (3, 5)):
+        with pytest.raises(PrecisionError):
+            plus_basis(k, [m], -1)
+
+
 def test_t4_prime_recursions_family4():
     basis = plus_basis(2, [4, 16, 64], 420)
     lhs = t4_prime(basis[4]).series
