@@ -431,7 +431,8 @@ def _sub4(series_builder, work: int) -> QSeries:
     return series_builder(work // 4 + 2).substitute_power(4)
 
 
-@widest_window
+# The named generators are not memoised, so a lift or congruence request costs
+# the same whatever ran before it; plus_basis memoises its seeds in _element.
 def _g0_series(prec: int) -> QSeries:
     th = theta(prec)
     return (th * (th**4 - 20 * e24(prec))).truncate(prec)
@@ -439,7 +440,6 @@ def _g0_series(prec: int) -> QSeries:
 
 # g1, g2 and h0 each carry one factor of valuation -4, 1/Delta(4tau) or
 # j(4tau), so they are built at prec + 4 and lose exactly those 4 exponents.
-@widest_window
 def _g1_series(prec: int) -> QSeries:
     work = prec + 4
     e4_4 = _sub4(lambda p: eisenstein(4, p), work)
@@ -448,19 +448,21 @@ def _g1_series(prec: int) -> QSeries:
     return (theta(work) * e4_4**2 * e6_4 * d4.inverse()).truncate(prec)
 
 
-@widest_window
-def _g2_series(prec: int) -> QSeries:
+def _g2_series(prec: int, g0: QSeries | None = None) -> QSeries:
+    """g0 j(4tau); pass *g0* if it is already built through prec + 4."""
     work = prec + 4
-    return (_g0_series(work) * _sub4(j_invariant, work)).truncate(prec)
+    g0 = _g0_series(work) if g0 is None else g0
+    return (g0 * _sub4(j_invariant, work)).truncate(prec)
 
 
 def _f3_series(prec: int) -> QSeries:
     """The weight 5/2 element q^-3 + O(q), from the three named generators."""
+    g0 = _g0_series(prec + 4)  # the combination's window stops at prec
     combo = linear_combine(
         [
             (Fraction(1, 12), _g1_series(prec)),
-            (Fraction(-1, 12), _g2_series(prec)),
-            (56, _g0_series(prec)),
+            (Fraction(-1, 12), _g2_series(prec, g0)),
+            (56, g0),
         ]
     )
     series = combo.restrict(-3, combo.prec)
@@ -468,7 +470,6 @@ def _f3_series(prec: int) -> QSeries:
     return series
 
 
-@widest_window
 def _h0_series(prec: int) -> QSeries:
     work = prec + 4
     th = theta(work)
@@ -504,7 +505,8 @@ def named_plus_form(name: str, prec: int) -> PlusForm:
         k, builder = _NAMED_BUILDERS[name]
         return PlusForm(k, builder(prec))
     if name in _G_COMBINATIONS:
-        gens = (_g0_series(prec), _g1_series(prec), _g2_series(prec))
+        g0 = _g0_series(prec + 4)  # the combination's window stops at prec
+        gens = (g0, _g1_series(prec), _g2_series(prec, g0))
         return PlusForm(2, linear_combine(list(zip(_G_COMBINATIONS[name], gens))))
     if name == "f6half":
         basis = plus_basis(3, [1], prec)

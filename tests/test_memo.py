@@ -21,7 +21,6 @@ MEMOISED = (
     + [(b, (), (-2, 60)) for b in (forms.discriminant, forms._j, forms.theta, forms.e24)]
     + [(forms._quotient, (name,), (-2, 40)) for name in (FormName.F4A, FormName.F4B, FormName.F6)]
     + [(forms._quotient, (name,), (-2, 40)) for name in forms._J_FORM_DATA]
-    + [(b, (), (-6, 40)) for b in (halfint._g0_series, halfint._g1_series, halfint._g2_series, halfint._h0_series)]
     + [
         (halfint._element, key, (0, 24))
         for key in ((0, 0), (0, 3), (0, 4), (0, 8), (2, 3), (2, 4), (2, 7), (3, 1), (3, 5), (3, 8))
