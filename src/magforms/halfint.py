@@ -509,16 +509,15 @@ def named_plus_form(name: str, prec: int) -> PlusForm:
         gens = (g0, _g1_series(prec), _g2_series(prec, g0))
         return PlusForm(2, linear_combine(list(zip(_G_COMBINATIONS[name], gens))))
     if name == "f6half":
-        basis = plus_basis(3, [1], prec)
-        f1 = basis[1].series
-        a3 = f1.coefficient(3)
-        if a3 == 0:
-            raise BasisError("cannot normalise f6half: vanishing q^3 coefficient")
-        return PlusForm(3, f1 * (Fraction(1) / a3))
+        # built through q^3 at least, where its normalising coefficient sits
+        f1 = plus_basis(3, [1], max(prec, 3))[1].series
+        return PlusForm(3, (f1 * f6half_scale(prec)).truncate(prec))
     raise UsageError(f"unknown plus form {name!r}")
 
 
 def f6half_scale(prec: int = 60) -> Fraction:
     """The normalising scalar applied to the weight 7/2 basis element."""
-    f1 = plus_basis(3, [1], prec)[1].series
-    return Fraction(1) / f1.coefficient(3)
+    a3 = plus_basis(3, [1], max(prec, 3))[1].series.coefficient(3)
+    if a3 == 0:
+        raise BasisError("cannot normalise f6half: vanishing q^3 coefficient")
+    return Fraction(1) / a3

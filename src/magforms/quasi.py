@@ -5,10 +5,14 @@ The derivation acts on monomials by
     delta f_{a,b,c} = ((k-a)/12) f_{a+1,b,c} - (a/12) f_{a-1,b+1,c}
                       - (b/3) f_{a,b-1,c+1} - (c/2) f_{a,b+2,c-1},
 
-with k = 2a + 4b + 6c the weight.  On top of this the module implements the
-constructive reductions of cuspidal weight-4 elements (exponent a <= 2) and
-weight-6 elements (a <= 4, c >= 0) to a fixed set of generators plus an exact
-delta-image, returning certificates that can be re-verified on q-expansions.
+with k = 2a + 4b + 6c the weight.  On top of this the module reduces cuspidal
+weight-4 elements (exponent a <= 2) and weight-6 elements (a <= 4, c >= 0) to
+an anchor, a fixed set of generators and an exact delta-image, returning
+certificates that can be re-verified on q-expansions.  A reduction is a chain
+of eliminations through the derivation formula: each monomial is rewritten
+through the delta-image of a source named by a table of base monomials or by a
+recursion on the exponents, until only terminal monomials (the anchor and the
+generators) remain.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .series import QSeries, UsageError, linear_combine
+from .series import IntegralityReport, QSeries, UsageError, linear_combine
 from .forms import quasi_monomial
 from .exprs import parse_expression
 
@@ -274,127 +278,90 @@ class ReductionCertificate:
         return out
 
 
-class _Accumulator:
-    def __init__(self, weight: int, gen_names):
-        self.mu = Fraction(0)
-        self.gens = {name: Fraction(0) for name in gen_names}
-        self.delta = QuasiElement.zero(weight - 2)
+# Terminal monomials: lam * mono adds lam to mu and lam times the listed
+# coefficients to the generators and the delta-part.  The -4608 in
+# f(2,-1,1) = f(0,0,1) - 4608 F6 + delta(4 f(1,-1,1) - 4 f(0,-2,2) + 6 f(0,1,0))
+# is forced by exact expansion of both sides.
+_TERMINAL_W4 = {
+    ANCHOR_W4: ({}, {}),
+    QuasiMonomial(0, -2, 2): ({"Ga": 1}, {}),
+    QuasiMonomial(1, 2, -1): ({"Gb": 1}, {}),
+}
+_TERMINAL_W6 = {
+    ANCHOR_W6: ({}, {}),
+    QuasiMonomial(2, -1, 1): (
+        {"F6": -4608},
+        {QuasiMonomial(1, -1, 1): 4, QuasiMonomial(0, -2, 2): -4, QuasiMonomial(0, 1, 0): 6},
+    ),
+}
+
+# Base monomials, each with the source whose delta-image eliminates it.
+_BASE_W4 = {
+    QuasiMonomial(2, 0, 0): QuasiMonomial(1, 0, 0),
+    QuasiMonomial(1, -1, 1): QuasiMonomial(0, -1, 1),
+}
+_BASE_W6 = {
+    QuasiMonomial(1, 1, 0): QuasiMonomial(0, 1, 0),
+    QuasiMonomial(3, 0, 0): QuasiMonomial(2, 0, 0),
+    QuasiMonomial(4, -2, 1): QuasiMonomial(4, -1, 0),
+}
 
 
-def _reduce(v: QuasiElement, weight: int, gens, scope_error, step) -> ReductionCertificate:
-    """Run the work list of one weight: `scope_error(mono)` returns a message
-    for a monomial outside the space (else None), and `step(mono, lam, acc,
-    push)` applies the rule for lam * mono, queueing new terms through push."""
+def _recursion_w4(m: QuasiMonomial) -> QuasiMonomial | None:
+    if m.c <= -2:
+        return QuasiMonomial(m.a, m.b - 2, m.c + 1)
+    return QuasiMonomial(m.a, m.b + 1, m.c - 1) if m.b <= -3 else None
+
+
+def _recursion_w6(m: QuasiMonomial) -> QuasiMonomial | None:
+    return QuasiMonomial(m.a, m.b + 1, m.c - 1) if m.c >= 2 else None
+
+
+def _add(table: dict, mono: QuasiMonomial, coeff: Fraction) -> None:
+    """table[mono] += coeff, dropping the entry when it cancels."""
+    table[mono] = table.get(mono, 0) + coeff
+    if not table[mono]:
+        del table[mono]
+
+
+def _reduce(v: QuasiElement, weight: int, gens, scope_error, terminal, base, recursion):
+    """Run the work list of one weight; `scope_error(mono)` returns a message
+    for a monomial outside the space (else None).  A terminal monomial is read
+    off its table entry.  Any other is eliminated through the source `src` that
+    `base` or `recursion` names: if delta(src) = c * mono + rest, then
+    lam * mono = delta((lam / c) * src) - (lam / c) * rest, and rest is queued.
+    """
     if not v.is_zero() and v.weight != weight:
         raise UsageError(f"reduce_weight{weight} needs weight {weight}, got {v.weight}")
     for mono in v.terms:
         message = scope_error(mono)
         if message:
             raise ReductionScopeError(message)
-    acc = _Accumulator(weight, gens)
+    mu = Fraction(0)
+    coords = {name: Fraction(0) for name in gens}
+    delta: dict[QuasiMonomial, Fraction] = {}
     pending = dict(v.terms)
-
-    def push(mono: QuasiMonomial, coeff: Fraction):
-        if coeff:
-            pending[mono] = pending.get(mono, Fraction(0)) + coeff
-            if pending[mono] == 0:
-                del pending[mono]
-
     while pending:
         mono = min(pending, key=_sort_key)
-        step(mono, pending.pop(mono), acc, push)
-    return ReductionCertificate(v, weight, acc.mu, acc.gens, acc.delta)
-
-
-def _step_w4(mono: QuasiMonomial, lam: Fraction, acc: _Accumulator, push) -> None:
-    a, b, c = mono
-    if mono == ANCHOR_W4:
-        acc.mu += lam
-    elif mono == QuasiMonomial(0, -2, 2):
-        acc.gens["Ga"] += lam
-        acc.mu += lam
-    elif mono == QuasiMonomial(1, 2, -1):
-        acc.gens["Gb"] += lam
-        acc.mu += lam
-    elif mono == QuasiMonomial(2, 0, 0):
-        # f(2,0,0) = f(0,1,0) + 12 delta f(1,0,0)
-        acc.mu += lam
-        acc.delta += QuasiElement.single(1, 0, 0, 12 * lam)
-    elif mono == QuasiMonomial(1, -1, 1):
-        # f(1,-1,1) = -2 f(0,-2,2) + 3 f(0,1,0) + 6 delta f(0,-1,1)
-        push(QuasiMonomial(0, -2, 2), -2 * lam)
-        push(ANCHOR_W4, 3 * lam)
-        acc.delta += QuasiElement.single(0, -1, 1, 6 * lam)
-    elif c <= -2:
-        # ((c+1)/2) f(a,b,c) = -delta f(a,b-2,c+1) - (a/12) f(a-1,b-1,c+1)
-        #                      - ((b-2)/3) f(a,b-3,c+2) - ((a-2)/12) f(a+1,b-2,c+1)
-        scale = lam * Fraction(2, c + 1)
-        acc.delta += QuasiElement.single(a, b - 2, c + 1, -scale)
-        if a:
-            push(QuasiMonomial(a - 1, b - 1, c + 1), -Fraction(a, 12) * scale)
-        if b != 2:
-            push(QuasiMonomial(a, b - 3, c + 2), -Fraction(b - 2, 3) * scale)
-        if a != 2:
-            push(QuasiMonomial(a + 1, b - 2, c + 1), -Fraction(a - 2, 12) * scale)
-    elif b <= -3:
-        # ((b+1)/3) f(a,b,c) = -delta f(a,b+1,c-1) - ((a-2)/12) f(a+1,b+1,c-1)
-        #                      - (a/12) f(a-1,b+2,c-1) - ((c-1)/2) f(a,b+3,c-2)
-        scale = lam * Fraction(3, b + 1)
-        acc.delta += QuasiElement.single(a, b + 1, c - 1, -scale)
-        if a != 2:
-            push(QuasiMonomial(a + 1, b + 1, c - 1), -Fraction(a - 2, 12) * scale)
-        if a:
-            push(QuasiMonomial(a - 1, b + 2, c - 1), -Fraction(a, 12) * scale)
-        if c != 1:
-            push(QuasiMonomial(a, b + 3, c - 2), -Fraction(c - 1, 2) * scale)
-    else:  # pragma: no cover - unreachable for weight-4 elements with a <= 2
-        raise ReductionScopeError(f"no reduction rule for {mono}")
-
-
-def _step_w6(mono: QuasiMonomial, lam: Fraction, acc: _Accumulator, push) -> None:
-    a, b, c = mono
-    if mono == ANCHOR_W6:
-        acc.mu += lam
-    elif mono == QuasiMonomial(1, 1, 0):
-        # f(1,1,0) = f(0,0,1) + 3 delta f(0,1,0)
-        acc.mu += lam
-        acc.delta += QuasiElement.single(0, 1, 0, 3 * lam)
-    elif mono == QuasiMonomial(3, 0, 0):
-        # f(3,0,0) = f(1,1,0) + 6 delta f(2,0,0)
-        push(QuasiMonomial(1, 1, 0), lam)
-        acc.delta += QuasiElement.single(2, 0, 0, 6 * lam)
-    elif mono == QuasiMonomial(4, -2, 1):
-        # f(4,-2,1) = f(3,0,0) + 3 delta f(4,-1,0)
-        push(QuasiMonomial(3, 0, 0), lam)
-        acc.delta += QuasiElement.single(4, -1, 0, 3 * lam)
-    elif mono == QuasiMonomial(2, -1, 1):
-        # f(2,-1,1) = f(0,0,1) - 4608 F6
-        #             + delta(4 f(1,-1,1) - 4 f(0,-2,2) + 6 f(0,1,0))
-        # (the -4608 is forced by exact expansion of both sides)
-        acc.mu += lam
-        acc.gens["F6"] += -4608 * lam
-        acc.delta += lam * (
-            QuasiElement.single(1, -1, 1, 4)
-            + QuasiElement.single(0, -2, 2, -4)
-            + QuasiElement.single(0, 1, 0, 6)
-        )
-    elif c >= 2:
-        # with (A,B,C) = (a, b, c):
-        # ((B+1)/3) f(A,B,C) = -delta f(A,B+1,C-1) + ((4-A)/12) f(A+1,B+1,C-1)
-        #                      - (A/12) f(A-1,B+2,C-1) - ((C-1)/2) f(A,B+3,C-2)
-        bb = b + 1
-        if bb == 0:  # pragma: no cover - impossible in weight 6 with c >= 2
-            raise ReductionScopeError(f"degenerate recursion at {mono}")
-        scale = lam * Fraction(3, bb)
-        acc.delta += QuasiElement.single(a, b + 1, c - 1, -scale)
-        if a != 4:
-            push(QuasiMonomial(a + 1, b + 1, c - 1), Fraction(4 - a, 12) * scale)
-        if a:
-            push(QuasiMonomial(a - 1, b + 2, c - 1), -Fraction(a, 12) * scale)
-        if c != 1:
-            push(QuasiMonomial(a, b + 3, c - 2), -Fraction(c - 1, 2) * scale)
-    else:  # pragma: no cover - unreachable inside the declared space
-        raise ReductionScopeError(f"no reduction rule for {mono}")
+        lam = pending.pop(mono)
+        if mono in terminal:
+            named, part = terminal[mono]
+            mu += lam
+            for name, coeff in named.items():
+                coords[name] += coeff * lam
+            for m, coeff in part.items():
+                _add(delta, m, coeff * lam)
+            continue
+        src = base.get(mono) or recursion(mono)
+        image = delta_monomial(src).terms if src else {}
+        if mono not in image:  # pragma: no cover - unreachable inside the declared spaces
+            raise ReductionScopeError(f"no reduction rule for {mono}")
+        scale = lam / image[mono]
+        _add(delta, src, scale)
+        for m, coeff in image.items():
+            if m != mono:
+                _add(pending, m, -scale * coeff)
+    return ReductionCertificate(v, weight, mu, coords, QuasiElement(weight - 2, delta))
 
 
 def _scope_w4(mono: QuasiMonomial) -> str | None:
@@ -416,15 +383,15 @@ def _scope_w6(mono: QuasiMonomial) -> str | None:
 def reduce_weight4(v: QuasiElement) -> ReductionCertificate:
     """Decompose a weight-4 element (all monomials with a <= 2).
 
-    The two recursions eliminate c <= -2 and b <= -3 monomials; the explicit
-    base relations handle the five weight-4 monomials with small exponents.
+    The two recursions eliminate c <= -2 and b <= -3 monomials; the base and
+    terminal tables handle the five weight-4 monomials with small exponents.
     """
-    return _reduce(v, 4, GEN_W4, _scope_w4, _step_w4)
+    return _reduce(v, 4, GEN_W4, _scope_w4, _TERMINAL_W4, _BASE_W4, _recursion_w4)
 
 
 def reduce_weight6(v: QuasiElement) -> ReductionCertificate:
     """Decompose a weight-6 element (monomials with a <= 4 and c >= 0)."""
-    return _reduce(v, 6, GEN_W6, _scope_w6, _step_w6)
+    return _reduce(v, 6, GEN_W6, _scope_w6, _TERMINAL_W6, _BASE_W6, _recursion_w6)
 
 
 def verify_certificate(cert: ReductionCertificate, prec: int) -> bool:
@@ -445,34 +412,13 @@ def verify_certificate(cert: ReductionCertificate, prec: int) -> bool:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MagneticReport:
-    ok: bool
-    order: int
-    prime: int | None
-    exponent: int | None
-    denominator: int | None
-    window: tuple[int, int]
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return f"MagneticReport(OK through q^{self.window[1]}, order {self.order})"
-        return (
-            f"MagneticReport(violation at q^{self.exponent}: denominator "
-            f"{self.denominator}, order {self.order})"
-        )
-
-
 def magnetic_check(
     v: Union[QuasiElement, QSeries],
     prec: int,
     order: int = 1,
     p: int | None = None,
-) -> MagneticReport:
-    """Check that the `order`-fold anti-derivative is (p-)integral on window.
+) -> IntegralityReport:
+    """Check that the `order`-fold anti-derivative is (p-)integral on its window.
 
     The input must be cuspidal: a QuasiElement with vanishing coefficient sum,
     or a series with zero constant term.
@@ -485,8 +431,4 @@ def magnetic_check(
         series = v.truncate(min(v.prec, prec))
         if series.lead <= 0 <= series.prec and series.constant_term() != 0:
             raise UsageError("magnetic_check requires a cuspidal series")
-    anti = series.antiderivative(order)
-    rep = anti.integrality_check(p)
-    return MagneticReport(
-        rep.ok, order, p, rep.exponent, rep.denominator, (anti.lead, anti.prec)
-    )
+    return series.antiderivative(order).integrality_check(p)

@@ -41,6 +41,7 @@ Karatsuba makes that cheaper than one product padded to the wide width.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate
@@ -522,17 +523,15 @@ class QSeries:
         return f"QSeries([{self.lead},{self.prec}]: {body})"
 
 
+@dataclass(frozen=True)
 class IntegralityReport:
     """Outcome of an integrality scan over a series window."""
 
-    __slots__ = ("ok", "prime", "exponent", "denominator", "window")
-
-    def __init__(self, ok, prime, exponent, denominator, window):
-        self.ok = ok
-        self.prime = prime
-        self.exponent = exponent
-        self.denominator = denominator
-        self.window = window
+    ok: bool
+    prime: int | None
+    exponent: int | None
+    denominator: int | None
+    window: tuple[int, int]
 
     def __bool__(self):
         return self.ok

@@ -24,6 +24,8 @@ from .forms import (
 )
 from .quasi import (
     QuasiElement,
+    QuasiMonomial,
+    delta_monomial,
     magnetic_check,
     reduce_weight4,
     reduce_weight6,
@@ -270,12 +272,11 @@ def verify_magnetic_expression(
 
 def _family_element(m: int, j: int) -> QuasiElement:
     """E2^m (delta Ej)/Ej as a quasi-monomial combination."""
-    if j == 4:
-        return Fraction(1, 3) * (
-            QuasiElement.single(m + 1, 0, 0) - QuasiElement.single(m, -1, 1)
-        )
-    return Fraction(1, 2) * (
-        QuasiElement.single(m + 1, 0, 0) - QuasiElement.single(m, 2, -1)
+    ej = QuasiMonomial(0, 1, 0) if j == 4 else QuasiMonomial(0, 0, 1)
+    image = delta_monomial(ej).terms
+    return QuasiElement(
+        2 * m + 2,
+        {QuasiMonomial(a + m, b - ej.b, c - ej.c): x for (a, b, c), x in image.items()},
     )
 
 

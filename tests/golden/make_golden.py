@@ -13,6 +13,9 @@ Regenerate (only when an output is meant to change) from the repository root::
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
+It names every key whose output changed, was added or was removed, and counts
+the unchanged ones, before it rewrites ``outputs.json``.
+
 ``tests/test_golden.py`` recomputes every case and compares.
 """
 
@@ -164,6 +167,21 @@ def compute() -> dict[str, str]:
     return {key: digest(thunk) for key, thunk in cases()}
 
 
+def _print_moves(old: dict[str, str], new: dict[str, str]) -> None:
+    """Name every key whose output changed, appeared or disappeared."""
+    for label, keys in (
+        ("changed", [k for k in new if k in old and new[k] != old[k]]),
+        ("added", [k for k in new if k not in old]),
+        ("removed", [k for k in old if k not in new]),
+    ):
+        for key in sorted(keys):
+            print(f"{label}: {key}")
+    print(f"unchanged: {sum(1 for k in new if old.get(k) == new[k])}")
+
+
 if __name__ == "__main__":
-    OUTPUTS.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    outputs = compute()
+    old = json.loads(OUTPUTS.read_text(encoding="utf-8")) if OUTPUTS.exists() else {}
+    _print_moves(old, outputs)
+    OUTPUTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {OUTPUTS}")

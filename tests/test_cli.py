@@ -162,6 +162,12 @@ def test_cli_expand_writes_file(tmp_path):
     assert data["coeffs"] == ["1", "240", "2160", "6720"]
 
 
+def test_cli_expand_f6half_below_its_normalising_coefficient():
+    proc = run_cli("expand", "f6half", "--prec", "2", "--no-cache")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"lead": -1, "prec": 2, "coeffs": ["-1/384", "0", "0", "0"]}
+
+
 def test_cli_parse_error_exit_code():
     proc = run_cli("expand", "E4 +", "--no-cache")
     assert proc.returncode == 2

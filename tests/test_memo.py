@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from magforms import forms, halfint
 from magforms.forms import FormName, j_invariant
 from magforms.halfint import named_plus_form, plus_basis
-from magforms.series import PrecisionError, QSeries, SeriesError, UsageError, widest_window
+from magforms.series import QSeries, SeriesError, UsageError, widest_window
 
 # (memoised builder, key, windows); _element is only asked for windows >= 0,
 # which plus_basis guarantees
@@ -71,10 +71,12 @@ def test_j_at_window_zero_raises_after_a_wide_build():
 
 
 @pytest.mark.parametrize("prec", [0, 1, 2])
-def test_f6half_below_its_normalising_coefficient_raises_after_a_wide_build(prec):
-    named_plus_form("f6half", 60)
-    with pytest.raises(PrecisionError):
-        named_plus_form("f6half", prec)
+def test_f6half_below_its_normalising_coefficient_is_the_wide_truncation(prec):
+    code = f"from magforms.halfint import named_plus_form; print(named_plus_form('f6half', {prec}).series.to_json())"
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    wide = named_plus_form("f6half", 60).series.truncate(prec)
+    assert QSeries.from_json_dict(json.loads(fresh.stdout)) == wide
+    assert named_plus_form("f6half", prec).series == wide
 
 
 def test_narrow_basis_after_a_wide_build_equals_a_fresh_build():

@@ -23,6 +23,7 @@ from magforms.quasi import (
     verify_certificate,
 )
 from magforms.series import UsageError
+from magforms.verify import _family_element
 
 
 def single(a, b, c, coeff=1):
@@ -157,14 +158,25 @@ def test_tampered_certificate_fails():
     assert not verify_certificate(bad, 60)
 
 
-def test_formal_reconstruction_identity():
+# weight -> (reduction, its space: E2 power a <= 2 in weight 4, a <= 4 and c >= 0 in weight 6)
+_SPACES = {
+    4: (reduce_weight4, lambda m: m.a <= 2),
+    6: (reduce_weight6, lambda m: m.a <= 4 and m.c >= 0),
+}
+
+
+@pytest.mark.parametrize("weight", [4, 6])
+def test_formal_reconstruction_identity(weight):
+    reduce, in_space = _SPACES[weight]
     rng = random.Random(24)
-    for _ in range(20):
-        v = random_element(rng, 4)
-        if any(m.a > 2 for m in v.terms) or v.is_zero():
+    reduced = 0
+    for _ in range(40):
+        v = random_element(rng, weight)
+        if v.is_zero() or not all(in_space(m) for m in v.terms):
             continue
-        cert = reduce_weight4(v)
-        assert cert.reconstruction() == v
+        assert reduce(v).reconstruction() == v
+        reduced += 1
+    assert reduced >= 10
 
 
 def test_alternate_generators_reduce_with_nonzero_coordinates():
@@ -195,6 +207,15 @@ def test_alternate_generators_reduce_with_nonzero_coordinates():
         assert verify_certificate(cert, 200)
         assert any(c != 0 for c in cert.gens.values())
         assert magnetic_check(elem, 200).ok
+
+
+@pytest.mark.parametrize("j", [4, 6])
+def test_family_element_expands_to_its_quotient(j):
+    # verify._family_element(m, j) is E2^m (delta Ej)/Ej
+    e2, ej = eisenstein(2, 40), eisenstein(j, 40)
+    quotient = ej.delta() * ej.inverse()
+    for m in range(7):
+        assert expand(_family_element(m, j), 40).agrees_with(e2**m * quotient, 0, 40)
 
 
 def test_magnetic_check():
