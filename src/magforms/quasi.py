@@ -324,7 +324,9 @@ def _add(table: dict, mono: QuasiMonomial, coeff: Fraction) -> None:
         del table[mono]
 
 
-def _reduce(v: QuasiElement, weight: int, gens, scope_error, terminal, base, recursion):
+def _reduce(
+    v: QuasiElement, weight: int, gens, scope_error, terminal, base, recursion
+) -> ReductionCertificate:
     """Run the work list of one weight; `scope_error(mono)` returns a message
     for a monomial outside the space (else None).  A terminal monomial is read
     off its table entry.  Any other is eliminated through the source `src` that
