@@ -509,9 +509,9 @@ def named_plus_form(name: str, prec: int) -> PlusForm:
         gens = (g0, _g1_series(prec), _g2_series(prec, g0))
         return PlusForm(2, linear_combine(list(zip(_G_COMBINATIONS[name], gens))))
     if name == "f6half":
-        # built through q^3 at least, where its normalising coefficient sits
+        # built through q^3 at least, the window the exact scale is read on
         f1 = plus_basis(3, [1], max(prec, 3))[1].series
-        return PlusForm(3, (f1 * f6half_scale(prec)).truncate(prec))
+        return PlusForm(3, (f1 * f6half_scale(3)).truncate(prec))
     raise UsageError(f"unknown plus form {name!r}")
 
 
