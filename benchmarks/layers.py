@@ -1,4 +1,5 @@
-"""Layer benchmark for magforms: the series kernel, inversion and named forms.
+"""Layer benchmark for magforms: the series kernel, combination, inversion and
+named forms.
 
     python3 benchmarks/layers.py --src SRC --side before|after --out BENCH.json
 
@@ -28,6 +29,7 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 REPEATS = 3
 KERNEL_CALLS = 5
@@ -62,9 +64,15 @@ CASES = {
     "conv_int.flat495_flat495_n1000": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}, False),
     "conv_int.geometric8_geometric8_n400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}, False),
     "conv_int.flat70_geometric16_n400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}, False),
+    # one j(4tau) ladder step of a plus-space basis at q^3600: the product and
+    # 40 lower elements q^-m + O(q), coefficient i of about 16 sqrt(i) bits,
+    # combined with rational scalars
+    "linear_combine.ladder41_3600": ("linear_combine", {"terms": 41, "prec": 3600, "bits": 16}, False),
     "inv_E4.500": ("inv_e4", {"N": 500}, False),
     "inv_E4.1000": ("inv_e4", {"N": 1000}, False),
     "inv_E4.2000": ("inv_e4", {"N": 2000}, False),
+    # a constant term of 3: the coefficient at q^n has denominator 3^(n+1)
+    "inv_E4plus2.1000": ("inv_e4", {"N": 1000, "plus": 2}, False),
     "named_form.F4a.1000": ("named_form", {"name": "F4a", "N": 1000}, False),
     "named_form.F6.1000": ("named_form", {"name": "F6", "N": 1000}, False),
     "named_form.Triple8.500": ("named_form", {"name": "Triple8", "N": 500}, False),
@@ -91,8 +99,20 @@ def run_case(kind: str, params: dict) -> dict:
             short_product(series, a, b, params["n"])
             best = min(best, time.perf_counter() - t0)
         return {"s": best}
+    if kind == "linear_combine":
+        rng = random.Random("ladder")
+        prec, bits = params["prec"], params["bits"]
+        terms = []
+        for t in range(params["terms"]):
+            m = 4 * t + 3
+            body = [rng.getrandbits(1 + int(bits * (i + 1) ** 0.5)) - rng.getrandbits(8) for i in range(prec)]
+            scalar = Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 2, 3, 12, 768)))
+            terms.append((scalar, series.QSeries(-m, [1] + [0] * m + body)))
+        t0 = time.perf_counter()
+        series.linear_combine(terms)
+        return {"s": time.perf_counter() - t0}
     if kind == "inv_e4":
-        e4 = forms.eisenstein(4, params["N"])
+        e4 = forms.eisenstein(4, params["N"]) + params.get("plus", 0)
         t0 = time.perf_counter()
         series.inv(e4)
         return {"s": time.perf_counter() - t0}

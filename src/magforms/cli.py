@@ -101,8 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_series(series: QSeries, args) -> None:
-    text = series.to_json()
+def _emit(text: str, args) -> None:
+    """Print *text*, and write it with a newline to ``--out`` when given."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -161,7 +161,7 @@ def _cmd_expand(args) -> int:
     if series is None:
         series = evaluate(args.expression, prec, trim=args.prec is None)
         cache.put(key, series.to_json_dict())
-    _emit_series(series, args)
+    _emit(series.to_json(), args)
     return EXIT_PASS
 
 
@@ -174,17 +174,13 @@ def _cmd_basis(args) -> int:
         "pool_s_max": basis.pool_s_max,
         "series": form.series.to_json_dict(),
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    _emit(json.dumps(payload, sort_keys=True, separators=(",", ":")), args)
     return EXIT_PASS
 
 
 def _cmd_lift(args) -> int:
     series, k = _load_source_series(args.source, args.k, args.prec)
-    _emit_series(psi(series, k), args)
+    _emit(psi(series, k).to_json(), args)
     return EXIT_PASS
 
 
@@ -192,7 +188,7 @@ def _cmd_unlift(args) -> int:
     loaded = _read_series_file(args.source)
     series = evaluate(args.source, args.prec) if loaded is None else loaded[0]
     out = phi(series, args.k)
-    _emit_series(out, args)
+    _emit(out.to_json(), args)
     return EXIT_PASS
 
 

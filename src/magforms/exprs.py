@@ -229,7 +229,7 @@ def _eval(node, work: int) -> QSeries:
 
 def _trim_trailing_zeros(f: QSeries) -> QSeries:
     hi = f.prec
-    while hi > f.lead and f._get(hi) == 0:
+    while hi > f.lead and not f.nums[hi - f.lead]:
         hi -= 1
     return f.truncate(hi)
 

@@ -64,7 +64,7 @@ def eisenstein(k: int, prec: int) -> QSeries:
         raise UsageError("prec must be >= 0")
     c = _EIS_CONSTANTS[k]
     sig = _sigma_sieve(k - 1, prec)
-    return QSeries(0, [1] + [c * sig[n] for n in range(1, prec + 1)])
+    return QSeries._of(0, [1] + [c * sig[n] for n in range(1, prec + 1)])
 
 
 def _eta_cube(prec: int) -> QSeries:
@@ -74,7 +74,7 @@ def _eta_cube(prec: int) -> QSeries:
     while k * (k + 1) // 2 <= prec:
         coeffs[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
         k += 1
-    return QSeries(0, coeffs)
+    return QSeries._of(0, coeffs)
 
 
 @widest_window
@@ -110,7 +110,7 @@ def theta(prec: int) -> QSeries:
     coeffs[0] = 1
     for n in range(1, isqrt(prec) + 1):
         coeffs[n * n] = 2
-    return QSeries(0, coeffs)
+    return QSeries._of(0, coeffs)
 
 
 @widest_window
@@ -120,7 +120,7 @@ def e24(prec: int) -> QSeries:
     if prec < 0:
         raise UsageError("prec must be >= 0")
     sig = _sigma_sieve(1, prec)
-    return QSeries(0, [0] + [sig[n] if n % 2 else 0 for n in range(1, prec + 1)])
+    return QSeries._of(0, [0] + [sig[n] if n % 2 else 0 for n in range(1, prec + 1)])
 
 
 def quasi_monomial(a: int, b: int, c: int, prec: int) -> QSeries:

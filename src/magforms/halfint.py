@@ -57,12 +57,14 @@ class PlusReport:
 
 
 def plus_check(series: QSeries, k: int) -> PlusReport:
-    """Verify the parity-dependent vanishing on the whole window."""
-    lo, hi = series.lead, series.prec
-    for n in range(lo, hi + 1):
-        if not admissible(k, n) and series._get(n) != 0:
-            return PlusReport(False, n, (lo, hi))
-    return PlusReport(True, None, (lo, hi))
+    """Verify the parity-dependent vanishing, one residue class mod 4 at a time."""
+    lo, hi, nums = series.lead, series.prec, series.nums
+    bad = [
+        next(n for n in range(start, hi + 1, 4) if nums[n - lo])
+        for start in range(lo, min(lo + 4, hi + 1))
+        if not admissible(k, start) and any(nums[start - lo :: 4])
+    ]
+    return PlusReport(not bad, min(bad, default=None), (lo, hi))
 
 
 class PlusForm:
@@ -151,7 +153,7 @@ def u_p(f: QSeries, p: int) -> QSeries:
     hi = f.prec // p
     if hi < lo:
         raise PrecisionError(f"window too small for U_{p}")
-    return QSeries(lo, [f._get(n * p) for n in range(lo, hi + 1)])
+    return QSeries._of(lo, f.nums[lo * p - f.lead : hi * p - f.lead + 1 : p], f.den)
 
 
 def v_p(f: QSeries, p: int) -> QSeries:
@@ -161,17 +163,15 @@ def v_p(f: QSeries, p: int) -> QSeries:
 
 def chi_p(f: QSeries, p: int, k: int) -> QSeries:
     """a(n) -> ((-1)^k n | p) a(n); the window is unchanged."""
-    return QSeries(
-        f.lead,
-        [chi_symbol(f.lead + i, p, k) * c for i, c in enumerate(f.coeffs)],
+    return QSeries._of(
+        f.lead, [chi_symbol(n, p, k) * x for n, x in enumerate(f.nums, f.lead)], f.den
     )
 
 
 def kohnen_project(f: QSeries, k: int) -> QSeries:
     """Zero out the coefficients at inadmissible exponents."""
-    return QSeries(
-        f.lead,
-        [c if admissible(k, f.lead + i) else Fraction(0) for i, c in enumerate(f.coeffs)],
+    return QSeries._of(
+        f.lead, [x if admissible(k, n) else 0 for n, x in enumerate(f.nums, f.lead)], f.den
     )
 
 
@@ -338,12 +338,11 @@ def _build_seed(k: int, m: int, prec: int) -> QSeries:
 
 
 def _validate_shape(k: int, m: int, series: QSeries) -> None:
-    for e in range(series.lead, 1):
-        expected = 1 if e == -m else 0
-        if series._get(e) != expected:
+    for e, x in enumerate(series.nums[: 1 - series.lead], series.lead):
+        if x != (series.den if e == -m else 0):
             raise BasisError(
                 f"element q^-{m}: coefficient {series._get(e)} at q^{e}, "
-                f"expected {expected}"
+                f"expected {int(e == -m)}"
             )
     rep = plus_check(series, k)
     if not rep.ok:

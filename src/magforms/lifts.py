@@ -50,13 +50,14 @@ def psi(f: PlusForm | QSeries, k: int | None = None) -> QSeries:
         raise PrecisionError(
             f"input precision {series.prec} yields no lifted coefficients"
         )
-    out = [Fraction(0)] * n_max  # exponents 1..n_max
+    a = series.restrict(0, series.prec)  # a.nums[e] is the numerator at q^e
+    out = [0] * n_max  # exponents 1..n_max
     for d, w in enumerate(_weights(D, k, n_max)):
         if w:
             # A(n) gains w(d) a(|D| (n/d)^2) at every multiple n = d*m
             for m in range(1, n_max // d + 1):
-                out[d * m - 1] += w * series._get(abs(D) * m * m)
-    return QSeries(1, out)
+                out[d * m - 1] += w * a.nums[abs(D) * m * m]
+    return QSeries._of(1, out, a.den)
 
 
 def phi(F: QSeries, k: int, out_prec: int | None = None) -> QSeries:
@@ -72,17 +73,18 @@ def phi(F: QSeries, k: int, out_prec: int | None = None) -> QSeries:
         raise PrecisionError(
             f"requested output precision {out_prec} exceeds derivable {full_prec}"
         )
-    coeffs = [Fraction(0)] * out_prec  # exponents 1..out_prec
+    coeffs = [0] * out_prec  # exponents 1..out_prec
     n_top = isqrt(max(out_prec, 0) // abs(D))
     w = _weights(D, k, n_top)
     # solve F = w * b (Dirichlet convolution) for b by forward substitution:
     # when n is reached, every w(d) b(n/d) with d > 1 has been subtracted
-    b = [Fraction(0)] + [F._get(n) for n in range(1, n_top + 1)]
+    head = F.restrict(0, n_top)  # head.nums[n] is the numerator at q^n
+    b = list(head.nums)
     for n in range(1, n_top + 1):
         coeffs[abs(D) * n * n - 1] = b[n]
         for d in range(2, n_top // n + 1):
             b[n * d] -= w[d] * b[n]
-    return QSeries(1, coeffs)
+    return QSeries._of(1, coeffs, head.den)
 
 
 def square_part(f: QSeries, k: int) -> QSeries:
@@ -90,12 +92,11 @@ def square_part(f: QSeries, k: int) -> QSeries:
     D = lift_discriminant(k)
     if f.prec < 1:
         raise PrecisionError("square part needs a window reaching past q^0")
-    coeffs = [Fraction(0)] * f.prec
-    n = 1
-    while abs(D) * n * n <= f.prec:
-        coeffs[abs(D) * n * n - 1] = f._get(abs(D) * n * n)
-        n += 1
-    return QSeries(1, coeffs)
+    a = f.restrict(0, f.prec)  # a.nums[e] is the numerator at q^e
+    coeffs = [0] * f.prec
+    for n in range(1, isqrt(f.prec // abs(D)) + 1):
+        coeffs[abs(D) * n * n - 1] = a.nums[abs(D) * n * n]
+    return QSeries._of(1, coeffs, a.den)
 
 
 @dataclass(frozen=True)
@@ -153,8 +154,8 @@ def strong_magnetic_congruence_check(
     step = p**n
     modulus = p ** (power * n)
     start = ((max(F.lead, 1) + step - 1) // step) * step
+    # the input is integral, so its numerators are its coefficients
     for m in range(start, F.prec + 1, step):
-        a = F._get(m)
-        if a.numerator % modulus:
-            return CongruenceReport(False, p, n, power, m, a, (F.lead, F.prec))
+        if F.nums[m - F.lead] % modulus:
+            return CongruenceReport(False, p, n, power, m, F._get(m), (F.lead, F.prec))
     return CongruenceReport(True, p, n, power, None, None, (F.lead, F.prec))

@@ -3,9 +3,12 @@
 A :class:`QSeries` stores the coefficients of a Laurent series on an explicit
 window of exponents ``[lead, prec]`` (both inclusive).  The series is zero
 below ``lead`` by construction and *unknown* above ``prec``; no operation ever
-fabricates a coefficient outside the window it can honestly derive.  All
-coefficients are :class:`fractions.Fraction` values, so every computation in
-this package is exact.
+fabricates a coefficient outside the window it can honestly derive.  The
+coefficients are stored as integer numerators ``nums`` over one positive
+common denominator ``den`` with ``gcd(den, *nums) == 1``; this canonical form
+is what ``==`` and ``hash`` compare, and every operation works on those
+integers, so every computation in this package is exact.  ``coeffs`` and
+``coefficient`` give the same values as :class:`fractions.Fraction`.
 
 Precision propagates pessimistically:
 
@@ -27,15 +30,16 @@ widen by it once (:func:`magforms.exprs.evaluate`).
 
 Multiplication is a short product: :func:`_conv_int` returns exactly the
 coefficients a product keeps (``mul`` its window, the Newton inverse each
-step's half).  Coefficient lists are cleared of denominators and multiplied
-by Kronecker substitution: each list is packed into one huge integer, one
-coefficient per slot, and the product is multiplied with gmpy2 (GMP) when
-available and with Python ints otherwise.  The slot width is bounded by what
-is read back: the largest bits(a_i) + bits(b_j) over i + j < n, plus
-bits(min(la, lb)) + 2.  When one operand's coefficients are more than four
-times as wide as the other's, the wide operand is split into limbs of about
-twice the narrow width, one narrow product per limb, because CPython's
-Karatsuba makes that cheaper than one product padded to the wide width.
+step's half) on the numerators, over the product of the denominators.  It
+multiplies by Kronecker substitution: each list is packed into one huge
+integer, one coefficient per slot, and the product is multiplied with gmpy2
+(GMP) when available and with Python ints otherwise.  The slot width is
+bounded by what is read back: the largest bits(a_i) + bits(b_j) over
+i + j < n, plus bits(min(la, lb)) + 2.  When one operand's coefficients are
+more than four times as wide as the other's, the wide operand is split into
+limbs of about twice the narrow width, one narrow product per limb, because
+CPython's Karatsuba makes that cheaper than one product padded to the wide
+width.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 try:
@@ -88,17 +92,6 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise UsageError(f"not an exact rational: {x!r}")
-
-
-def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Return integer numerators and the common denominator of *coeffs*."""
-    den = 1
-    for c in coeffs:
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _conv_int(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -200,58 +193,47 @@ def _conv_split(
     return out
 
 
-def _conv_fraction(a: Sequence[Fraction], b: Sequence[Fraction], n: int) -> list[Fraction]:
-    na, da = _clear_denominators(a)
-    nb, db = (na, da) if b is a else _clear_denominators(b)
-    nums = _conv_int(na, nb, n)
-    den = da * db
-    if den == 1:
-        return [Fraction(x) for x in nums]
-    return [Fraction(x, den) for x in nums]
-
-
-def _power_series_inverse(u: Sequence[Fraction]) -> list[Fraction]:
-    """Inverse of a power series (u[0] != 0) to the same length, by Newton.
-
-    If w inverts u modulo q^t, then u*w = 1 + q^t h, and the next iterate
-    w(2 - u*w) = w - q^t (w*h) inverts u modulo q^(2t).  So each step reads
-    h off a product of length 2t and appends the first t coefficients of
-    -(w*h) to w: the second product is half as long as u*w.
-    """
-    length = len(u)
-    w = [Fraction(1) / u[0]]
-    t = 1
-    while t < length:
-        t2 = min(2 * t, length)
-        h = _conv_fraction(u[:t2], w, t2)[t:]
-        w += [-c for c in _conv_fraction(w, h, t2 - t)]
-        t = t2
-    return w
-
-
 class QSeries:
     """A truncated Laurent series with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of ``q**(lead+i)``; the window runs from
-    ``lead`` to ``prec`` inclusive.  Instances are immutable; every operation
-    returns a fresh series.
+    ``nums[i] / den`` is the coefficient of ``q**(lead+i)``; the window runs
+    from ``lead`` to ``prec`` inclusive, ``den > 0`` and
+    ``gcd(den, *nums) == 1``.  ``coeffs`` holds the same coefficients as
+    :class:`~fractions.Fraction` values, built on first read.  Instances are
+    immutable; every operation returns a fresh series.
     """
 
-    __slots__ = ("lead", "prec", "coeffs")
+    __slots__ = ("lead", "prec", "nums", "den", "_coeffs")
 
     def __init__(self, lead: int, coeffs: Iterable, prec: int | None = None):
-        cs = tuple(_as_fraction(c) for c in coeffs)
-        if prec is None:
-            prec = lead + len(cs) - 1
-        if len(cs) != prec - lead + 1:
+        cs = [_as_fraction(c) for c in coeffs]
+        if prec is not None and len(cs) != prec - lead + 1:
             raise UsageError(
                 f"coefficient count {len(cs)} does not match window [{lead}, {prec}]"
             )
-        if prec < lead:
+        den = lcm(*(c.denominator for c in cs))  # clears every denominator
+        self._set(lead, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, lead: int, nums: Sequence[int], den: int) -> None:
+        if not nums:
             raise UsageError("empty window: prec < lead")
         object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "prec", lead + len(nums) - 1)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def _of(cls, lead: int, nums: Sequence[int], den: int = 1) -> "QSeries":
+        """The series sum nums[i]/den q^(lead+i), reduced to lowest terms."""
+        if den != 1:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        self = object.__new__(cls)
+        self._set(lead, nums, den)
+        return self
 
     def __setattr__(self, *args):
         raise AttributeError("QSeries is immutable")
@@ -262,11 +244,11 @@ class QSeries:
 
     @classmethod
     def zero(cls, prec: int) -> "QSeries":
-        return cls(0, [0] * (prec + 1))
+        return cls._of(0, [0] * (prec + 1))
 
     @classmethod
     def one(cls, prec: int) -> "QSeries":
-        return cls(0, [1] + [0] * prec)
+        return cls._of(0, [1] + [0] * prec)
 
     @classmethod
     def monomial(cls, exponent: int, coeff: Scalar = 1, prec: int | None = None) -> "QSeries":
@@ -274,11 +256,22 @@ class QSeries:
             prec = exponent
         if prec < exponent:
             raise UsageError("prec below the monomial exponent")
-        return cls(exponent, [coeff] + [0] * (prec - exponent))
+        c = _as_fraction(coeff)
+        return cls._of(exponent, [c.numerator] + [0] * (prec - exponent), c.denominator)
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read and kept."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", tuple(self._fractions()))
+        return self._coeffs
+
+    def _fractions(self) -> Iterable[Fraction]:
+        return (Fraction(x, self.den) for x in self.nums)
 
     def coefficient(self, n: int) -> Fraction:
         """Exact coefficient of q**n; raises PrecisionError outside the window."""
@@ -286,7 +279,7 @@ class QSeries:
             raise PrecisionError(
                 f"coefficient at q^{n} outside known window [{self.lead}, {self.prec}]"
             )
-        return self.coeffs[n - self.lead]
+        return Fraction(self.nums[n - self.lead], self.den)
 
     def _get(self, n: int) -> Fraction:
         """Coefficient of q**n, using that the series is zero below `lead`.
@@ -299,11 +292,11 @@ class QSeries:
             )
         if n < self.lead:
             return Fraction(0)
-        return self.coeffs[n - self.lead]
+        return Fraction(self.nums[n - self.lead], self.den)
 
     def _first_possible_nonzero(self) -> int:
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self.nums):
+            if x:
                 return self.lead + i
         return self.prec + 1
 
@@ -315,7 +308,7 @@ class QSeries:
         return v
 
     def is_zero_window(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def constant_term(self) -> Fraction:
         return self._get(0)
@@ -325,7 +318,7 @@ class QSeries:
     # ------------------------------------------------------------------
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.lead, [-c for c in self.coeffs])
+        return QSeries._of(self.lead, [-x for x in self.nums], self.den)
 
     def __add__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
@@ -345,7 +338,8 @@ class QSeries:
     def _scale(self, a: Fraction) -> "QSeries":
         if a == 1:
             return self
-        return QSeries(self.lead, [a * c for c in self.coeffs])
+        n = a.numerator
+        return QSeries._of(self.lead, [n * x for x in self.nums], self.den * a.denominator)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, QSeries):
@@ -374,31 +368,31 @@ class QSeries:
 
     def delta(self) -> "QSeries":
         """Apply q d/dq: multiply the coefficient at q**n by n."""
-        return QSeries(
-            self.lead, [c * (self.lead + i) for i, c in enumerate(self.coeffs)]
+        return QSeries._of(
+            self.lead, [x * n for n, x in enumerate(self.nums, self.lead)], self.den
         )
 
     def antiderivative(self, order: int = 1) -> "QSeries":
         """Formal anti-derivative (inverse of delta), `order` times.
 
         The integration constant is fixed to 0.  Raises AntiderivativeError
-        when a nonzero constant term blocks the operation.
+        when a nonzero constant term blocks the operation.  The coefficient at
+        q**n is scaled by L / n**order over the common denominator times L,
+        with L = lcm(n**order) over the window.
         """
         if order < 1:
             raise UsageError("antiderivative order must be a positive integer")
-        cur = list(self.coeffs)
-        for _ in range(order):
-            if self.lead <= 0 <= self.prec:
-                c0 = cur[-self.lead]
-                if c0 != 0:
-                    raise AntiderivativeError(
-                        f"no formal anti-derivative: constant term {c0} is nonzero"
-                    )
-            cur = [
-                c / (self.lead + i) if (self.lead + i) != 0 else Fraction(0)
-                for i, c in enumerate(cur)
-            ]
-        return QSeries(self.lead, cur)
+        if self.lead <= 0 <= self.prec and self.nums[-self.lead]:
+            raise AntiderivativeError(
+                f"no formal anti-derivative: constant term {self._get(0)} is nonzero"
+            )
+        powers = [n**order for n in range(self.lead, self.prec + 1)]
+        big = lcm(*(m for m in powers if m))
+        return QSeries._of(
+            self.lead,
+            [x * (big // m) if m else 0 for x, m in zip(self.nums, powers)],
+            self.den * big,
+        )
 
     def substitute_power(self, m: int) -> "QSeries":
         """Replace q by q**m (exponent n becomes m*n); gaps become zeros."""
@@ -406,11 +400,9 @@ class QSeries:
             raise UsageError("substitute_power requires m >= 1")
         if m == 1:
             return self
-        n = len(self.coeffs)
-        out = [Fraction(0)] * ((n - 1) * m + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * m] = c
-        return QSeries(self.lead * m, out)
+        out = [0] * ((len(self.nums) - 1) * m + 1)
+        out[::m] = self.nums
+        return QSeries._of(self.lead * m, out, self.den)
 
     # ------------------------------------------------------------------
     # window manipulation
@@ -426,7 +418,7 @@ class QSeries:
             raise PrecisionError("truncation below the lead exponent")
         if new_prec == self.prec:
             return self
-        return QSeries(self.lead, self.coeffs[: new_prec - self.lead + 1])
+        return QSeries._of(self.lead, self.nums[: new_prec - self.lead + 1], self.den)
 
     def restrict(self, lo: int, hi: int) -> "QSeries":
         """Restrict to the window [lo, hi]; lo may sit below lead (zeros)."""
@@ -434,11 +426,13 @@ class QSeries:
             raise PrecisionError("restriction beyond known precision")
         if lo > hi:
             raise UsageError("empty restriction window")
-        return QSeries(lo, [self._get(n) for n in range(lo, hi + 1)])
+        zeros = [0] * max(min(self.lead, hi + 1) - lo, 0)
+        body = self.nums[max(lo - self.lead, 0) : max(hi - self.lead + 1, 0)]
+        return QSeries._of(lo, zeros + list(body), self.den)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q**k (shift all exponents by k)."""
-        return QSeries(self.lead + k, self.coeffs)
+        return QSeries._of(self.lead + k, self.nums, self.den)
 
     # ------------------------------------------------------------------
     # comparisons
@@ -450,11 +444,12 @@ class QSeries:
         return (
             self.lead == other.lead
             and self.prec == other.prec
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.lead, self.prec, self.coeffs))
+        return hash((self.lead, self.prec, self.den, self.nums))
 
     def agrees_with(self, other: "QSeries", lo: int | None = None, hi: int | None = None) -> bool:
         """True when both series agree on the overlap of their windows.
@@ -465,7 +460,7 @@ class QSeries:
         hi_eff = min(self.prec, other.prec) if hi is None else hi
         if lo_eff > hi_eff:
             raise PrecisionError("series windows do not overlap")
-        return all(self._get(n) == other._get(n) for n in range(lo_eff, hi_eff + 1))
+        return self.restrict(lo_eff, hi_eff) == other.restrict(lo_eff, hi_eff)
 
     # ------------------------------------------------------------------
     # integrality
@@ -475,15 +470,15 @@ class QSeries:
         """Check coefficient denominators on the window.
 
         Without *p*: every coefficient must be an integer.  With *p*: the
-        prime *p* must not divide any denominator (p-integrality).
+        prime *p* must not divide any denominator (p-integrality).  The
+        coefficient denominators all divide ``den``, so the scan is skipped
+        when ``den`` is 1 or, with *p*, prime to *p*.
         """
-        for i, c in enumerate(self.coeffs):
-            d = c.denominator
-            if p is None:
-                if d != 1:
-                    return IntegralityReport(False, p, self.lead + i, d, (self.lead, self.prec))
-            else:
-                if d % p == 0:
+        den = self.den
+        if den != 1 and (p is None or den % p == 0):
+            for i, x in enumerate(self.nums):
+                d = den // gcd(x, den)
+                if (d != 1) if p is None else (d % p == 0):
                     return IntegralityReport(False, p, self.lead + i, d, (self.lead, self.prec))
         return IntegralityReport(True, p, None, None, (self.lead, self.prec))
 
@@ -495,7 +490,7 @@ class QSeries:
         return {
             "lead": self.lead,
             "prec": self.prec,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": [str(c) for c in self._fractions()],
         }
 
     def to_json(self) -> str:
@@ -512,10 +507,10 @@ class QSeries:
 
     def __repr__(self):
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for n, c in enumerate(self._fractions(), self.lead):
             if c == 0:
                 continue
-            parts.append(f"{c}*q^{self.lead + i}")
+            parts.append(f"{c}*q^{n}")
             if len(parts) >= 6:
                 parts.append("...")
                 break
@@ -554,7 +549,8 @@ class IntegralityReport:
 def linear_combine(terms: Sequence[tuple[Scalar, QSeries]]) -> QSeries:
     """Coefficient-wise rational combination of series.
 
-    The result window is [min lead, min prec] over the inputs.
+    The result window is [min lead, min prec] over the inputs; the numerators
+    are summed over the lcm of the scaled denominators.
     """
     if not terms:
         raise UsageError("linear_combine requires at least one term")
@@ -562,19 +558,15 @@ def linear_combine(terms: Sequence[tuple[Scalar, QSeries]]) -> QSeries:
     prec = min(s.prec for _, s in terms)
     if prec < lead:
         raise PrecisionError("combination window is empty")
-    acc = [Fraction(0)] * (prec - lead + 1)
-    for a, s in terms:
-        a = _as_fraction(a)
-        if a == 0:
-            continue
+    scaled = [(a, s) for a, s in ((_as_fraction(a), s) for a, s in terms) if a]
+    den = lcm(*(a.denominator * s.den for a, s in scaled))
+    acc = [0] * (prec - lead + 1)
+    for a, s in scaled:
+        factor = a.numerator * (den // (a.denominator * s.den))
         base = s.lead - lead
-        for i, c in enumerate(s.coeffs):
-            n = base + i
-            if n >= len(acc):
-                break
-            if c:
-                acc[n] += a * c
-    return QSeries(lead, acc)
+        vals = [x + factor * y for x, y in zip(acc[base:], s.nums)]
+        acc[base : base + len(vals)] = vals
+    return QSeries._of(lead, acc, den)
 
 
 def mul(f: QSeries, g: QSeries) -> QSeries:
@@ -584,17 +576,34 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     out_prec = min(f.prec + eg, g.prec + ef)
     out_lead = min(ef + eg, out_prec)
     length = out_prec - out_lead + 1
-    a = f.coeffs[ef - f.lead : ef - f.lead + length]
-    b = a if g is f else g.coeffs[eg - g.lead : eg - g.lead + length]
-    return QSeries(out_lead, _conv_fraction(a, b, length))
+    a = f.nums[ef - f.lead : ef - f.lead + length]
+    b = a if g is f else g.nums[eg - g.lead : eg - g.lead + length]
+    return QSeries._of(out_lead, _conv_int(a, b, length), f.den * g.den)
 
 
 def inv(f: QSeries) -> QSeries:
-    """Multiplicative inverse; result window is [-v, f.prec - 2v]."""
+    """Multiplicative inverse; result window is [-v, f.prec - 2v].
+
+    Newton on the numerators u: if W/D inverts u modulo q^t, then
+    u*W = D + q^t H, and W/D - q^t (W*H)/D^2 inverts u modulo q^(2t).  So
+    each step reads H off a product of length 2t, reduces H/D to H'/E in
+    lowest terms, multiplies W by E, appends the first t coefficients of
+    -(W*H') and multiplies D by E: the second product is half as long as
+    u*W, and D stays +-1 when u starts with +-1.
+    """
     v = f.valuation()  # DomainError for the zero series
-    u = f.coeffs[v - f.lead :]
-    w = _power_series_inverse(u)
-    return QSeries(-v, w)
+    u = f.nums[v - f.lead :]
+    w, d = [1], u[0]
+    t = 1
+    while t < len(u):
+        t2 = min(2 * t, len(u))
+        h = _conv_int(u[:t2], w, t2)[t:]
+        g = gcd(d, *h)
+        e, h = d // g, [x // g for x in h]
+        w = ([x * e for x in w] if e != 1 else w) + [-x for x in _conv_int(w, h, t2 - t)]
+        d *= e
+        t = t2
+    return QSeries._of(-v, [f.den * x for x in w] if f.den != 1 else w, d)
 
 
 def pow_int(f: QSeries, n: int) -> QSeries:

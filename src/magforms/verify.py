@@ -44,20 +44,11 @@ from .reports import ReportTimer, VerificationReport
 
 
 def _val_ge(series: QSeries, p: int, e: int):
-    """First exponent whose coefficient has p-adic valuation < e, or None."""
-    for i, c in enumerate(series.coeffs):
-        num, den = c.numerator, c.denominator
-        if den % p == 0:
-            return series.lead + i
-        if num == 0:
-            continue
-        v = 0
-        while num % p == 0 and v < e:
-            num //= p
-            v += 1
-        if v < e:
-            return series.lead + i
-    return None
+    """First exponent whose coefficient has p-adic valuation < e, or None.
+
+    v_p(c) < e exactly when p divides the denominator of c / p^e.
+    """
+    return (series * Fraction(1, p**e)).integrality_check(p).exponent
 
 
 def _add_integral(report: VerificationReport, name: str, res) -> None:

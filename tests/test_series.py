@@ -1,5 +1,6 @@
 """Core series layer: windows, arithmetic, derivation, integrality."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -417,3 +418,156 @@ def test_integer_inputs_stay_integer():
         assert (f * g).integrality_check().ok
         assert (f + g).integrality_check().ok
         assert f.delta().integrality_check().ok
+
+
+# ----------------------------------------------------------------------
+# random operation chains against a plain-Fraction reference
+# ----------------------------------------------------------------------
+#
+# A reference series is (lead, [Fraction, ...]); every function below
+# follows the window rules of the series layer with Fraction arithmetic only.
+
+
+def ref_first(f):
+    lead, cs = f
+    return next((lead + i for i, c in enumerate(cs) if c), lead + len(cs))
+
+
+def ref_mul(f, g):
+    (fl, fc), (gl, gc) = f, g
+    fp, gp = fl + len(fc) - 1, gl + len(gc) - 1
+    ef, eg = ref_first(f), ref_first(g)
+    hi = min(fp + eg, gp + ef)
+    lo = min(ef + eg, hi)
+    return lo, [
+        sum(
+            (fc[i - fl] * gc[n - i - gl] for i in range(fl, fp + 1) if gl <= n - i <= gp),
+            Fraction(0),
+        )
+        for n in range(lo, hi + 1)
+    ]
+
+
+def ref_inv(f):
+    v = ref_first(f)
+    if v >= f[0] + len(f[1]):
+        return None  # zero on its window
+    return -v, recurrence_inverse(f[1][v - f[0] :])
+
+
+def ref_pow(f, n):
+    """Square-and-multiply in the order pow_int uses, so the windows agree."""
+    if n == 0:
+        return 0, [Fraction(1)] + [Fraction(0)] * max(f[0] + len(f[1]) - 1, 0)
+    if n < 0:
+        return ref_pow(ref_inv(f), -n)
+    result, base = None, f
+    while n:
+        if n & 1:
+            result = base if result is None else ref_mul(result, base)
+        n >>= 1
+        if n:
+            base = ref_mul(base, base)
+    return result
+
+
+def ref_antiderivative(f, order):
+    lead, cs = f
+    if lead <= 0 < lead + len(cs) and cs[-lead]:
+        return None  # nonzero constant term
+    return lead, [c / n**order if n else Fraction(0) for n, c in enumerate(cs, lead)]
+
+
+def ref_substitute(f, m):
+    lead, cs = f
+    out = [Fraction(0)] * ((len(cs) - 1) * m + 1)
+    out[::m] = cs
+    return lead * m, out
+
+
+def ref_combine(a, f, b, g):
+    lead = min(f[0], g[0])
+    prec = min(f[0] + len(f[1]), g[0] + len(g[1])) - 1
+    if prec < lead:
+        return None
+
+    def at(s, n):
+        return s[1][n - s[0]] if n >= s[0] else Fraction(0)
+
+    return lead, [a * at(f, n) + b * at(g, n) for n in range(lead, prec + 1)]
+
+
+small_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+@st.composite
+def rational_series(draw):
+    return draw(st.integers(-3, 3)), draw(st.lists(small_fractions, min_size=1, max_size=12))
+
+
+CHAIN_OPS = (
+    "mul", "inv", "pow", "delta", "antiderivative", "substitute_power", "linear_combine", "truncate"
+)
+
+
+def assert_canonical(f, ref):
+    assert f.den > 0
+    assert math.gcd(f.den, *f.nums) == 1
+    assert (f.lead, f.prec) == (ref[0], ref[0] + len(ref[1]) - 1)
+    assert list(f.coeffs) == ref[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_series(), st.lists(st.sampled_from(CHAIN_OPS), min_size=1, max_size=6), st.data())
+def test_random_chains_match_fraction_reference(start, ops, data):
+    """Each step keeps the canonical form and the reference's coefficients,
+    and a truncation equals the same window built from Fractions."""
+    f, ref = QSeries(*start), start
+    assert_canonical(f, ref)
+    for op in ops:
+        if len(ref[1]) > 40:
+            break
+        if op == "mul":
+            other = data.draw(rational_series())
+            f, ref = f * QSeries(*other), ref_mul(ref, other)
+        elif op == "inv":
+            ref = ref_inv(ref)
+            if ref is None:
+                with pytest.raises(DomainError):
+                    f.inverse()
+                return
+            f = f.inverse()
+        elif op == "pow":
+            n = data.draw(st.integers(-2, 3))
+            if n < 0 and ref_inv(ref) is None:
+                return
+            f, ref = f**n, ref_pow(ref, n)
+        elif op == "delta":
+            f, ref = f.delta(), (ref[0], [c * n for n, c in enumerate(ref[1], ref[0])])
+        elif op == "antiderivative":
+            order = data.draw(st.integers(1, 2))
+            ref = ref_antiderivative(ref, order)
+            if ref is None:
+                with pytest.raises(AntiderivativeError):
+                    f.antiderivative(order)
+                return
+            f = f.antiderivative(order)
+        elif op == "substitute_power":
+            m = data.draw(st.integers(1, 3))
+            f, ref = f.substitute_power(m), ref_substitute(ref, m)
+        elif op == "linear_combine":
+            a, b = data.draw(small_fractions), data.draw(small_fractions)
+            other = data.draw(rational_series())
+            ref = ref_combine(a, ref, b, other)
+            if ref is None:
+                with pytest.raises(PrecisionError):
+                    linear_combine([(a, f), (b, QSeries(*other))])
+                return
+            f = linear_combine([(a, f), (b, QSeries(*other))])
+        else:
+            p = data.draw(st.integers(ref[0], ref[0] + len(ref[1]) - 1))
+            f, ref = f.truncate(p), (ref[0], ref[1][: p - ref[0] + 1])
+        assert_canonical(f, ref)
+        p = data.draw(st.integers(f.lead, f.prec))
+        cut, built = f.truncate(p), QSeries(f.lead, ref[1][: p - f.lead + 1])
+        assert cut == built and hash(cut) == hash(built)
