@@ -4,7 +4,7 @@ The golden set pins the exact bytes that refactors of the working-precision,
 representation and memo layers must keep: ``exprs.evaluate`` on every named
 form, a few Laurent expressions and plus-space basis elements at windows
 0-3, 7 and 40 (trimmed and untrimmed), ``plus_basis`` with its
-``pool_s_max``, seven verification reports without their ``timing`` block,
+``pool_s_max``, eight verification reports without their ``timing`` block,
 the reduction certificate of every w4/w6 sweep element, ``parse_element`` on
 the README element, and a few ``psi``/``phi`` lifts.
 A case that raises records the exception class instead of a digest.
@@ -130,6 +130,11 @@ def cases():
     yield (
         "verify_table1|1,2,3,4,5,7|12|100",
         lambda: _report(verify_table1([1, 2, 3, 4, 5, 7], 12, 100)),
+    )
+    # rows 11-13 carry the degree-2/3 and degree-5 j-polynomials
+    yield (
+        "verify_table1|11,12,13|12|100",
+        lambda: _report(verify_table1([11, 12, 13], 12, 100)),
     )
     yield (
         "verify_congruence|f4a|3|2|1|40",
