@@ -76,6 +76,9 @@ CASES = {
     "named_form.F4a.1000": ("named_form", {"name": "F4a", "N": 1000}, False),
     "named_form.F6.1000": ("named_form", {"name": "F6", "N": 1000}, False),
     "named_form.Triple8.500": ("named_form", {"name": "Triple8", "N": 500}, False),
+    # the basis behind perfbench plus_space's slowest request, lift-table
+    # row 4 (T4' of the element q^-3 + O(q), with q^-4 beside it, at q^3600)
+    "plus_basis.k2_m3_m4_3600": ("plus_basis", {"m_list": [3, 4], "prec": 3600}, False),
     # the bases of `magforms table1 --extended --rows 6,8,9,10`, which asks
     # for orders 43, 67, 163 at q^3600 (the same elements as 163 alone) and 7
     # at q^14400

@@ -196,10 +196,7 @@ def _eval(node, work: int) -> QSeries:
             return named_plus_form(name, work).series
         return named_form(name, work)
     if op == "monomial":
-        a, b, c = node[1], node[2], node[3]
-        if a < 0:
-            raise UsageError("quasi-monomial needs a >= 0")
-        return quasi_monomial(a, b, c, work)
+        return quasi_monomial(*node[1:4], work)
     if op == "basis":
         k, m = node[1]
         return plus_basis(k, [m], work)[m].series

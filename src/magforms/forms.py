@@ -1,16 +1,15 @@
 """Constructors for the classical q-expansions: Eisenstein series, the
-discriminant cusp form, the elliptic modular invariant j, the theta series,
-the level-4 weight-2 form E_{2,4}, quasi-modular monomials E2^a E4^b E6^c,
-and the named meromorphic forms used by the verification suite.
+discriminant cusp form, the theta series, the level-4 weight-2 form E_{2,4},
+the monomials E2^a E4^b E6^c Delta^d (j, F4a, F4b and F6 among them), the
+j-quotients E4^e num(j)/den(j)^p and the named forms of the verification suite.
 
 Every constructor returns a series whose window is exactly [lead, prec] for
 the requested prec.  Working precision follows one rule, read off the
 valuation rules in :mod:`magforms.series`: a constructor works at the
-requested window plus the exponents its inverses lose, and the final
+requested window plus the exponents its factors lose, and the final
 ``truncate``, which refuses to extend a window, checks that the window was
-reached.  The named quotients lose nothing: F4a, F4b and F6 divide by powers
-of E4 and E6 (valuation 0), and the j-quotients divide by powers of
-polynomials in j, which gains one or two exponents.
+reached.  A monomial with Delta^-s loses s exponents; a j-quotient loses none,
+since inverting den(j)^p gains more exponents than num(j) costs.
 
 Every expansion is memoised at the widest window built so far
 (:func:`magforms.series.widest_window`); narrower windows are truncations.
@@ -20,9 +19,10 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
-from .series import QSeries, UsageError, linear_combine, widest_window
+from .series import PrecisionError, QSeries, UsageError, linear_combine, mul, widest_window
 
 
 class FormName(enum.Enum):
@@ -97,8 +97,7 @@ def j_invariant(prec: int) -> QSeries:
 # kept series, where j_invariant(0) raises
 @widest_window
 def _j(prec: int) -> QSeries:
-    work = prec + 2
-    return (eisenstein(4, work) ** 3 * discriminant(work).inverse()).truncate(prec)
+    return quasi_monomial(0, 3, 0, prec, -1)
 
 
 @widest_window
@@ -123,15 +122,25 @@ def e24(prec: int) -> QSeries:
     return QSeries._of(0, [0] + [sig[n] if n % 2 else 0 for n in range(1, prec + 1)])
 
 
-def quasi_monomial(a: int, b: int, c: int, prec: int) -> QSeries:
-    """The monomial E2^a E4^b E6^c (negative b, c through inversion)."""
+def quasi_monomial(a: int, b: int, c: int, prec: int, d: int = 0) -> QSeries:
+    """The monomial E2^a E4^b E6^c Delta^d on the window [d, prec]: with
+    Delta = q (Delta/q), q^d times a series of valuation 0 through q^(prec - d),
+    so Delta^-s costs the other factors s exponents.  The positive powers are
+    multiplied first, while their coefficients are small, then the inverse of
+    the product of the negative ones."""
     if a < 0:
         raise UsageError("the E2 exponent must be nonnegative")
-    out = QSeries.one(prec)
-    for k, e in ((2, a), (4, b), (6, c)):
-        if e:
-            out = out * eisenstein(k, prec) ** e
-    return out.truncate(prec)
+    if 0 <= prec < d:
+        raise PrecisionError(f"the monomial starts at q^{d}, above q^{prec}")
+    work = prec - d
+    factors = [(eisenstein(k, work), e) for k, e in ((2, a), (4, b), (6, c)) if e]
+    if d:
+        factors.append((discriminant(work + 1).shift(-1), d))
+    top = [f**e for f, e in factors if e > 0]
+    bottom = [f**-e for f, e in factors if e < 0]
+    if bottom:
+        top.append(reduce(mul, bottom).inverse())
+    return (reduce(mul, top) if top else QSeries.one(work)).shift(d).truncate(prec)
 
 
 def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:
@@ -143,6 +152,22 @@ def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:
         acc = acc * j
         acc = acc + QSeries.monomial(0, c, max(acc.prec, 0))
     return acc
+
+
+def j_quotient(e4_power: int, num, den, den_power: int, prec: int) -> QSeries:
+    """E4^e4_power num(j) / den(j)^den_power through q^prec >= 1, for integer polynomials
+    num, den in j (ascending) with den_power deg(den) >= deg(num): no exponent is lost."""
+    j = j_invariant(prec)
+    out = quasi_monomial(0, e4_power, 0, prec) * poly_in_j(num, j)
+    return (out * (poly_in_j(den, j) ** den_power).inverse()).truncate(prec)
+
+
+# (E2, E4, E6, Delta) exponents of the named monomials
+_MONOMIAL_FORMS = {
+    FormName.F4A: (0, -2, 0, 1),
+    FormName.F4B: (0, 1, -2, 1),
+    FormName.F6: (0, -3, 1, 1),
+}
 
 
 # (E4 power, numerator in j, denominator in j, denominator power)
@@ -162,19 +187,10 @@ _J_FORM_DATA = {
 @widest_window
 def _quotient(name: FormName, work: int) -> QSeries:
     """F4a, F4b, F6 or a j-quotient through q^work (work >= 1)."""
-    if name is FormName.F4A:
-        out = discriminant(work) * eisenstein(4, work).inverse() ** 2
-    elif name is FormName.F4B:
-        out = eisenstein(4, work) * discriminant(work) * eisenstein(6, work).inverse() ** 2
-    elif name is FormName.F6:
-        out = eisenstein(6, work) * discriminant(work) * eisenstein(4, work).inverse() ** 3
-    else:
-        e4_power, num, den, den_power = _J_FORM_DATA[name]
-        j = j_invariant(work)
-        out = poly_in_j(num, j) * (poly_in_j(den, j) ** den_power).inverse()
-        if e4_power:
-            out = out * eisenstein(4, work) ** e4_power
-    return out.truncate(work)
+    if name in _MONOMIAL_FORMS:
+        a, b, c, d = _MONOMIAL_FORMS[name]
+        return quasi_monomial(a, b, c, work, d)
+    return j_quotient(*_J_FORM_DATA[name], work)
 
 
 def named_form(name, prec: int) -> QSeries:
@@ -198,8 +214,8 @@ def named_form(name, prec: int) -> QSeries:
         return theta(prec)
     if name is FormName.E24:
         return e24(prec)
-    # the quotients lose no exponents, so they are built at the window itself
-    # (at least q^1, which Delta and j need); truncate rejects a lead above prec
+    # built at the window itself (at least q^1, which Delta and j need);
+    # truncate rejects a lead above prec
     return _quotient(name, max(prec, 1)).truncate(prec)
 
 
@@ -210,20 +226,16 @@ def named_form(name, prec: int) -> QSeries:
 
 def hk_operator_apply(f: QSeries, k: int) -> QSeries:
     """Apply D_k = delta^2 - ((k+1)/6) E2 delta + (k(k+1)/12) (delta E2)."""
-    e2 = eisenstein(2, max(f.prec - min(f.lead, 0) + 4, 0))
+    e2 = eisenstein(2, max(f.prec - min(f.lead, 0), 0))  # a lead -w < 0 costs E2 w
     df = f.delta()
-    ddf = df.delta()
-    term2 = (e2 * df) * Fraction(-(k + 1), 6)
-    term3 = (e2.delta() * f) * Fraction(k * (k + 1), 12)
-    return linear_combine([(1, ddf), (1, term2), (1, term3)])
+    terms = [(Fraction(-(k + 1), 6), e2 * df), (Fraction(k * (k + 1), 12), e2.delta() * f)]
+    return linear_combine([(1, df.delta())] + terms)
 
 
 def specific_d_apply(f: QSeries) -> QSeries:
     """Apply D = delta^2 - E2 delta + (7 E2^2 - 5 E4 - 2 E2 E6 / E4)/36."""
-    work = f.prec - min(f.lead, 0) + 4
+    work = f.prec - min(f.lead, 0)  # a lead -w < 0 of f costs E2 w exponents
     e2 = eisenstein(2, work)
-    e4 = eisenstein(4, work)
-    e6 = eisenstein(6, work)
-    multiplier = (7 * e2**2 - 5 * e4 - 2 * (e2 * e6) * e4.inverse()) / 36
+    multiplier = (7 * e2**2 - 5 * eisenstein(4, work) - 2 * quasi_monomial(1, -1, 1, work)) / 36
     df = f.delta()
     return linear_combine([(1, df.delta()), (-1, e2 * df), (1, multiplier * f)])

@@ -29,7 +29,7 @@ from .series import (
     linear_combine,
     widest_window,
 )
-from .forms import discriminant, e24, eisenstein, j_invariant, theta
+from .forms import _j, e24, eisenstein, quasi_monomial, theta
 
 
 class PlusSpaceError(SeriesError):
@@ -87,6 +87,9 @@ class PlusForm:
     def __setattr__(self, *args):
         raise AttributeError("PlusForm is immutable")
 
+    def __reduce__(self):
+        return (PlusForm, (self.k, self.series))
+
     def coefficient(self, n: int) -> Fraction:
         return self.series.coefficient(n)
 
@@ -97,6 +100,9 @@ class PlusForm:
         if not isinstance(other, PlusForm):
             return NotImplemented
         return self.k == other.k and self.series == other.series
+
+    def __hash__(self):
+        return hash((self.k, self.series))
 
     def __repr__(self):
         return f"PlusForm(k={self.k}, {self.series!r})"
@@ -114,8 +120,7 @@ def kronecker(d: int, D: int) -> int:
     if D == 1:
         return 1
     if D == -3:
-        r = d % 3
-        return 0 if r == 0 else (1 if r == 1 else -1)
+        return _legendre(d, 3)
     raise UsageError(f"unsupported discriminant {D}")
 
 
@@ -216,11 +221,10 @@ def t4_prime(f: PlusForm) -> PlusForm:
 def raising(f: PlusForm) -> PlusForm:
     """delta f - ((2k+1)/6) E2(4tau) f, of weight (k+2) + 1/2."""
     s = f.series
-    e2_4 = _sub4(lambda p: eisenstein(2, p), s.prec - min(s.lead, 0) + 4)
-    out = linear_combine(
-        [(1, s.delta()), (Fraction(-(2 * f.k + 1), 6), e2_4 * s)]
-    )
-    return PlusForm(f.k + 2, out.truncate(min(out.prec, s.prec)))
+    # a lead -w < 0 of f costs E2(4tau) w exponents
+    e2_4 = at_4tau(lambda p: eisenstein(2, p), s.prec - min(s.lead, 0))
+    out = linear_combine([(1, s.delta()), (Fraction(-(2 * f.k + 1), 6), e2_4 * s)])
+    return PlusForm(f.k + 2, out)
 
 
 # ----------------------------------------------------------------------
@@ -236,11 +240,7 @@ def _solve_particular(rows: list[list[Fraction]], rhs: list[Fraction]):
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(ncols):
-        sel = None
-        for r in range(row, nrows):
-            if aug[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
@@ -275,18 +275,19 @@ def _pool_descriptors(k: int, s_max: int) -> list[tuple[int, int, int]]:
 
 
 def _pool_element(a: int, b: int, s: int, prec: int) -> QSeries:
-    """theta^a * E_{2,4}^b / Delta(4tau)^s through `prec`.
+    """theta^a * E_{2,4}^b / Delta(4tau)^s through `prec`, or through its lead
+    q^(b - 4s) when that lies above.
 
-    1/Delta(4tau)^s has valuation -4s, so the product loses at most 4s
-    exponents of its working window.
+    1/Delta(4tau)^s has valuation -4s, so it costs theta^a E_{2,4}^b 4s
+    exponents.
     """
+    prec = max(prec, b - 4 * s)
     work = prec + 4 * s
     out = theta(work) ** a
     if b:
         out = out * e24(work) ** b
     if s:
-        d4 = discriminant(work // 4 + 3).substitute_power(4)
-        out = out * d4.inverse() ** s
+        out = out * at_4tau(lambda p: quasi_monomial(0, 0, 0, p, -s), prec)
     return out.truncate(prec)
 
 
@@ -301,17 +302,10 @@ def _seed_combination(k: int, m: int):
     bound = 4 * s_max + 2 * k + 8
     descriptors = _pool_descriptors(k, s_max)
     columns = [_pool_element(a, b, s, bound) for (a, b, s) in descriptors]
-    lead_min = -4 * s_max
-    rows = []
-    rhs = []
-    for e in range(lead_min, bound + 1):
-        if e <= 0:
-            rows.append([col._get(e) for col in columns])
-            rhs.append(Fraction(1 if e == -m else 0))
-        elif not admissible(k, e):
-            rows.append([col._get(e) for col in columns])
-            rhs.append(Fraction(0))
-    solution = _solve_particular(rows, rhs)
+    # the principal part must be q^-m, and every inadmissible exponent vanish
+    exponents = [e for e in range(-4 * s_max, bound + 1) if e <= 0 or not admissible(k, e)]
+    rows = [[col._get(e) for col in columns] for e in exponents]
+    solution = _solve_particular(rows, [Fraction(int(e == -m)) for e in exponents])
     if solution is None:
         return None
     return [
@@ -327,14 +321,11 @@ def _build_seed(k: int, m: int, prec: int) -> QSeries:
             f"basis element q^-{m} (k={k}) not found: pool with "
             f"s_max={_SEED_S_MAX} cannot represent q^-{m}"
         )
-    # theta^a E_{2,4}^b / Delta(4tau)^s starts at q^(b - 4s), which may lie
-    # above prec: build through every pool lead, then truncate
-    work = max([prec] + [b - 4 * s for _, (a, b, s) in combo])
     series = linear_combine(
-        [(coeff, _pool_element(a, b, s, work)) for coeff, (a, b, s) in combo]
-    ).restrict(-m, work)
+        [(coeff, _pool_element(a, b, s, prec)) for coeff, (a, b, s) in combo]
+    ).restrict(-m, prec)
     _validate_shape(k, m, series)
-    return series.truncate(prec)
+    return series
 
 
 def _validate_shape(k: int, m: int, series: QSeries) -> None:
@@ -376,11 +367,13 @@ def _element(k: int, m: int, prec: int) -> QSeries:
         if k == 2 and m == 0:
             return _g0_series(prec)
         if k == 2 and m == 3:
-            return _f3_series(prec)
+            series = _g_combination("f3", prec).restrict(-3, prec)
+            _validate_shape(2, 3, series)
+            return series
         return _build_seed(k, m, prec)
     # f_(m-4) has valuation 4-m and j(4tau) valuation -4, so each factor
     # costs the other 4 and m-4 exponents
-    product = _element(k, m - 4, prec + 4) * _sub4(j_invariant, prec + m)
+    product = _element(k, m - 4, prec + 4) * at_4tau(_j, prec + m - 4)
     # each element q^-m2 + O(q) vanishes at q^-m3 for m3 < m2, so every
     # correction scalar can be read off the raw product; the highest order
     # goes first, so the lower ones are truncations of its chain
@@ -426,8 +419,11 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
 # ----------------------------------------------------------------------
 
 
-def _sub4(series_builder, work: int) -> QSeries:
-    return series_builder(work // 4 + 2).substitute_power(4)
+def at_4tau(build, prec: int) -> QSeries:
+    """Every factor at 4tau: build(p), a series of level 1, through q^ceil(prec/4),
+    substituted q -> q^4 once, so its inverses and products run at a quarter of
+    the length; the window reaches q^prec or a little further."""
+    return build(-(-prec // 4)).substitute_power(4)
 
 
 # The named generators are not memoised, so a lift or congruence request costs
@@ -437,81 +433,70 @@ def _g0_series(prec: int) -> QSeries:
     return (th * (th**4 - 20 * e24(prec))).truncate(prec)
 
 
-# g1, g2 and h0 each carry one factor of valuation -4, 1/Delta(4tau) or
-# j(4tau), so they are built at prec + 4 and lose exactly those 4 exponents.
+# g1, g2 and h0 each carry one factor at 4tau of valuation -4, a monomial
+# with Delta^-1 or j, which costs their other factors 4 exponents.
 def _g1_series(prec: int) -> QSeries:
-    work = prec + 4
-    e4_4 = _sub4(lambda p: eisenstein(4, p), work)
-    e6_4 = _sub4(lambda p: eisenstein(6, p), work)
-    d4 = _sub4(discriminant, work)
-    return (theta(work) * e4_4**2 * e6_4 * d4.inverse()).truncate(prec)
+    """theta (E4^2 E6 / Delta)(4tau)."""
+    m4 = at_4tau(lambda p: quasi_monomial(0, 2, 1, p, -1), prec)
+    return (theta(prec + 4) * m4).truncate(prec)
 
 
 def _g2_series(prec: int, g0: QSeries | None = None) -> QSeries:
     """g0 j(4tau); pass *g0* if it is already built through prec + 4."""
-    work = prec + 4
-    g0 = _g0_series(work) if g0 is None else g0
-    return (g0 * _sub4(j_invariant, work)).truncate(prec)
-
-
-def _f3_series(prec: int) -> QSeries:
-    """The weight 5/2 element q^-3 + O(q), from the three named generators."""
-    g0 = _g0_series(prec + 4)  # the combination's window stops at prec
-    combo = linear_combine(
-        [
-            (Fraction(1, 12), _g1_series(prec)),
-            (Fraction(-1, 12), _g2_series(prec, g0)),
-            (56, g0),
-        ]
-    )
-    series = combo.restrict(-3, combo.prec)
-    _validate_shape(2, 3, series)
-    return series
+    g0 = _g0_series(prec + 4) if g0 is None else g0
+    return (g0 * at_4tau(_j, prec)).truncate(prec)
 
 
 def _h0_series(prec: int) -> QSeries:
+    """f theta (theta^4 - 2f)(theta^4 - 16f) (E6/Delta)(4tau) + 56 theta, f = E_{2,4}."""
     work = prec + 4
     th = theta(work)
     f = e24(work)
-    e6_4 = _sub4(lambda p: eisenstein(6, p), work)
-    d4 = _sub4(discriminant, work)
-    main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * e6_4 * d4.inverse()
+    m4 = at_4tau(lambda p: quasi_monomial(0, 0, 1, p, -1), prec)
+    main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * m4
     return (main + 56 * th).truncate(prec)
 
 
-_NAMED_BUILDERS = {
-    "g0": (2, _g0_series),
-    "g1": (2, _g1_series),
-    "g2": (2, _g2_series),
-    "h0": (0, _h0_series),
-}
-
-
-# the weight 5/2 forms that are combinations of g0, g1 and g2
+# the weight 5/2 combinations of g0, g1 and g2; f3 is the basis element
+# q^-3 + O(q), which plus_basis serves
 _G_COMBINATIONS = {
+    "f3": (56, Fraction(1, 12), Fraction(-1, 12)),
     "f4a": (Fraction(7, 8), Fraction(1, 768), Fraction(-1, 768)),
     "f4b": (Fraction(19, 18), Fraction(-5, 648), Fraction(-1, 648)),
 }
 
 
-# every name named_plus_form accepts
-PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS) | frozenset(_G_COMBINATIONS) | {"f6half"}
+def _g_combination(name: str, prec: int) -> QSeries:
+    g0 = _g0_series(prec + 4)  # g2 needs it there; the combination stops at prec
+    gens = (g0, _g1_series(prec), _g2_series(prec, g0))
+    return linear_combine(list(zip(_G_COMBINATIONS[name], gens)))
+
+
+def _f6half_series(prec: int) -> QSeries:
+    # built through q^3 at least, the window the exact scale is read on
+    f1 = plus_basis(3, [1], max(prec, 3))[1].series
+    return (f1 * f6half_scale(3)).truncate(prec)
+
+
+# name -> (k, builder) for every name named_plus_form accepts
+_NAMED_BUILDERS = {
+    "g0": (2, _g0_series),
+    "g1": (2, _g1_series),
+    "g2": (2, _g2_series),
+    "h0": (0, _h0_series),
+    "f4a": (2, lambda prec: _g_combination("f4a", prec)),
+    "f4b": (2, lambda prec: _g_combination("f4b", prec)),
+    "f6half": (3, _f6half_series),
+}
+PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS)
 
 
 def named_plus_form(name: str, prec: int) -> PlusForm:
     """The named weight-1/2 and 5/2 forms, plus f6half of weight 7/2."""
-    if name in _NAMED_BUILDERS:
-        k, builder = _NAMED_BUILDERS[name]
-        return PlusForm(k, builder(prec))
-    if name in _G_COMBINATIONS:
-        g0 = _g0_series(prec + 4)  # the combination's window stops at prec
-        gens = (g0, _g1_series(prec), _g2_series(prec, g0))
-        return PlusForm(2, linear_combine(list(zip(_G_COMBINATIONS[name], gens))))
-    if name == "f6half":
-        # built through q^3 at least, the window the exact scale is read on
-        f1 = plus_basis(3, [1], max(prec, 3))[1].series
-        return PlusForm(3, (f1 * f6half_scale(3)).truncate(prec))
-    raise UsageError(f"unknown plus form {name!r}")
+    if name not in _NAMED_BUILDERS:
+        raise UsageError(f"unknown plus form {name!r}")
+    k, builder = _NAMED_BUILDERS[name]
+    return PlusForm(k, builder(prec))
 
 
 def f6half_scale(prec: int = 60) -> Fraction:

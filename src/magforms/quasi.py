@@ -73,6 +73,9 @@ class QuasiElement:
     def __setattr__(self, *args):
         raise AttributeError("QuasiElement is immutable")
 
+    def __reduce__(self):
+        return (QuasiElement, (self.weight, self.terms))
+
     @classmethod
     def single(cls, a: int, b: int, c: int, coeff=1) -> "QuasiElement":
         mono = QuasiMonomial(a, b, c)

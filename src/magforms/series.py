@@ -238,6 +238,9 @@ class QSeries:
     def __setattr__(self, *args):
         raise AttributeError("QSeries is immutable")
 
+    def __reduce__(self):
+        return (QSeries._of, (self.lead, self.nums, self.den))
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
@@ -376,9 +379,10 @@ class QSeries:
         """Formal anti-derivative (inverse of delta), `order` times.
 
         The integration constant is fixed to 0.  Raises AntiderivativeError
-        when a nonzero constant term blocks the operation.  The coefficient at
-        q**n is scaled by L / n**order over the common denominator times L,
-        with L = lcm(n**order) over the window.
+        when a nonzero constant term blocks the operation.  Each coefficient
+        x/(den n**order) is reduced by a gcd with the small den n**order and
+        scaled over the lcm of the reduced denominators, so an integral result
+        gets den 1 without a gcd over the whole window.
         """
         if order < 1:
             raise UsageError("antiderivative order must be a positive integer")
@@ -386,13 +390,15 @@ class QSeries:
             raise AntiderivativeError(
                 f"no formal anti-derivative: constant term {self._get(0)} is nonzero"
             )
-        powers = [n**order for n in range(self.lead, self.prec + 1)]
-        big = lcm(*(m for m in powers if m))
-        return QSeries._of(
-            self.lead,
-            [x * (big // m) if m else 0 for x, m in zip(self.nums, powers)],
-            self.den * big,
-        )
+        reduced = []
+        for n, x in enumerate(self.nums, self.lead):
+            d = self.den * n**order if x else 1
+            g = gcd(x, d)
+            reduced.append((x // g, d // g))
+        den = lcm(*(d for _, d in reduced))
+        out = object.__new__(QSeries)  # in lowest terms already: no _of gcd
+        out._set(self.lead, [x * (den // d) for x, d in reduced], den)
+        return out
 
     def substitute_power(self, m: int) -> "QSeries":
         """Replace q by q**m (exponent n becomes m*n); gaps become zeros."""

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from .series import QSeries, UsageError, linear_combine
 from .forms import (
-    discriminant,
     eisenstein,
     hk_operator_apply,
-    j_invariant,
+    j_quotient,
     named_form,
-    poly_in_j,
+    quasi_monomial,
     specific_d_apply,
     theta,
 )
@@ -33,6 +32,7 @@ from .quasi import (
 )
 from .halfint import (
     PlusForm,
+    at_4tau,
     named_plus_form,
     plus_basis,
     raising,
@@ -159,16 +159,14 @@ def verify_table1(
             need = lift_coeffs * lift_coeffs * 4**t_max
             bases[t_max] = plus_basis(2, sorted({r.basis_m for r in grouped}), need)
         rhs_prec = max(lift_coeffs, magnetic_prec)
-        j = j_invariant(rhs_prec + 16)
-        e4 = eisenstein(4, rhs_prec + 16)
         for row in selected:
             t_max = max(p for _, p in row.hecke_poly)
             f = bases[t_max][row.basis_m]
             combo = _apply_hecke_poly(f, row.hecke_poly)
             lifted = psi(PlusForm(2, combo.series * row.scalar))
-            num = poly_in_j(row.numerator, j)
-            den = poly_in_j(row.denominator, j) ** row.denominator_power
-            rhs = (e4 ** row.e4_power) * num * den.inverse()
+            rhs = j_quotient(
+                row.e4_power, row.numerator, row.denominator, row.denominator_power, rhs_prec
+            )
             ok = lifted.agrees_with(rhs, 1, lift_coeffs)
             report.add(
                 f"row {row.row_id}: lift matches E4-rational form to {lift_coeffs} coefficients",
@@ -272,40 +270,36 @@ def _family_element(m: int, j: int) -> QuasiElement:
 
 
 def _check_raising_relations(report: VerificationReport, prec: int = 100) -> None:
-    work = prec + 30
-    th = PlusForm(0, theta(work))
+    th = PlusForm(0, theta(prec))
     g0 = named_plus_form("g0", prec)
     lhs = raising(th).series * (-6)
     report.add(
         "raising: g0 = -6 D theta (100 coefficients)",
         lhs.agrees_with(g0.series, 0, prec),
     )
-    h0 = named_plus_form("h0", work)
+    h0 = named_plus_form("h0", prec)
     f4a = named_plus_form("f4a", prec)
     lhs = raising(h0).series * Fraction(-6, 19)
     report.add(
         "raising: 64 f4a = -(6/19) D h0",
         lhs.agrees_with(64 * f4a.series, -3, prec),
     )
-    e6_4 = eisenstein(6, work // 4 + 2).substitute_power(4)
-    d4 = discriminant(work // 4 + 2).substitute_power(4)
-    extra = 2 * theta(work) * e6_4**2 * d4.inverse()
+    # (E6^2/Delta)(4tau) has valuation -4, which costs theta 4 exponents
+    m4 = at_4tau(lambda p: quasi_monomial(0, 0, 2, p, -1), prec)
+    extra = 2 * theta(prec + 4) * m4
     f4b = named_plus_form("f4b", prec)
     target = 108 * f4b.series
     for h0_coeff in (-3, -4):
         combo = linear_combine(
-            [(h0_coeff, h0.series), (2012, theta(work)), (1, extra)]
+            [(h0_coeff, h0.series), (2012, theta(prec)), (1, extra)]
         )
         res = raising(PlusForm(0, combo)).series * Fraction(3, 25)
         ok = res.agrees_with(target, -4, prec)
         label = (
             f"raising: 108 f4b = (3/25) D({h0_coeff} h0 + 2012 theta "
             "+ 2 theta E6(4t)^2/Delta(4t))"
+            + (" [as commonly stated]" if h0_coeff == -3 else " [corrected]")
         )
-        if h0_coeff == -3:
-            label += " [as commonly stated]"
-        else:
-            label += " [corrected]"
         report.add(label, ok, "" if ok else "exact expansion refutes this coefficient")
 
 

@@ -11,12 +11,15 @@ from magforms.forms import (
     eisenstein,
     hk_operator_apply,
     j_invariant,
+    j_quotient,
     named_form,
+    poly_in_j,
     quasi_monomial,
     specific_d_apply,
     theta,
 )
-from magforms.series import UsageError, linear_combine
+from magforms.series import PrecisionError, SeriesError, UsageError, linear_combine
+from magforms.tables import LIFT_TABLE
 
 
 def test_eisenstein_values():
@@ -90,6 +93,73 @@ def test_quasi_monomial():
         assert quasi_monomial(a, b, c, 8).coefficient(0) == 1
     with pytest.raises(UsageError):
         quasi_monomial(-1, 0, 0, 5)
+
+
+BUILDER_WINDOWS = (0, 1, 7, 40)
+
+
+def _outcome(build, *args):
+    """The series, or the class of the SeriesError it raises."""
+    try:
+        return build(*args)
+    except SeriesError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("prec", BUILDER_WINDOWS[1:])
+def test_quasi_monomial_j_and_its_shift(prec):
+    j = j_invariant(prec)
+    assert quasi_monomial(0, 3, 0, prec, -1) == j
+    # E4^3 - E6^2 = 1728 Delta, so E6^2 / Delta = j - 1728
+    assert quasi_monomial(0, 0, 2, prec, -1) == j - 1728
+
+
+@pytest.mark.parametrize("prec", BUILDER_WINDOWS)
+@pytest.mark.parametrize(
+    "name, exponents",
+    [("F4a", (0, -2, 0, 1)), ("F4b", (0, 1, -2, 1)), ("F6", (0, -3, 1, 1))],
+)
+def test_quasi_monomial_named_quotients(name, exponents, prec):
+    a, b, c, d = exponents
+    expected = _outcome(named_form, name, prec)
+    assert _outcome(quasi_monomial, a, b, c, prec, d) == expected
+    if prec == 0:
+        assert expected is PrecisionError  # the window lies below the lead q^1
+
+
+@pytest.mark.parametrize("prec", BUILDER_WINDOWS)
+@pytest.mark.parametrize(
+    "exponents",
+    [
+        (0, 3, 0, -1),
+        (0, 0, 2, -1),
+        (1, -1, 1, 0),
+        (2, 2, 0, -2),
+        (0, 0, 0, -3),
+        (0, -2, 0, 1),
+        (1, 0, 1, 2),
+    ],
+)
+def test_quasi_monomial_window_is_exactly_d_to_prec(exponents, prec):
+    a, b, c, d = exponents
+    if prec < d:
+        with pytest.raises(PrecisionError):
+            quasi_monomial(a, b, c, prec, d)
+        return
+    f = quasi_monomial(a, b, c, prec, d)
+    assert (f.lead, f.prec) == (d, prec)
+    assert f.coefficient(d) == 1
+
+
+@pytest.mark.parametrize("row", LIFT_TABLE, ids=lambda row: f"row{row.row_id}")
+def test_j_quotient_matches_the_wide_j_construction(row):
+    # the construction it replaces: j and E4 built 16 exponents further
+    prec = 120
+    j, e4 = j_invariant(prec + 16), eisenstein(4, prec + 16)
+    den = poly_in_j(row.denominator, j) ** row.denominator_power
+    wide = (e4**row.e4_power * poly_in_j(row.numerator, j) * den.inverse()).truncate(prec)
+    args = (row.e4_power, row.numerator, row.denominator, row.denominator_power)
+    assert j_quotient(*args, prec) == wide
 
 
 def test_named_form_f4a():

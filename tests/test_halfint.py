@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from magforms.forms import discriminant, eisenstein, theta
+from magforms.forms import discriminant, eisenstein, quasi_monomial, theta
 from magforms.halfint import (
     BasisError,
     PlusForm,
     PlusSpaceError,
     admissible,
+    at_4tau,
     big_t_p,
     chi_p,
     kohnen_project,
@@ -76,6 +77,16 @@ def test_kronecker():
 # ----------------------------------------------------------------------
 # elementary operators
 # ----------------------------------------------------------------------
+
+
+def test_level4_rule_off_a_multiple_of_four():
+    # E6(4tau) / Delta(4tau) through q^41, inverted at the full length: Delta(4tau)
+    # through q^52 has valuation 4, so its inverse reaches q^44
+    prec = 41
+    full = eisenstein(6, 12).substitute_power(4) * discriminant(13).substitute_power(4).inverse()
+    quarter = at_4tau(lambda p: quasi_monomial(0, 0, 1, p, -1), prec)
+    assert quarter.prec >= prec
+    assert quarter.truncate(prec) == full.truncate(prec)
 
 
 def test_u_v_identities():

@@ -1,6 +1,8 @@
 """Core series layer: windows, arithmetic, derivation, integrality."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -62,6 +64,30 @@ def test_immutability():
         f.lead = 5
     with pytest.raises(TypeError):
         f.coeffs[0] = 3
+
+
+def _copyable_objects():
+    from magforms.halfint import named_plus_form
+    from magforms.quasi import QuasiElement
+
+    return [
+        qs(-1, Fraction(1, 64), 0, Fraction(-3, 2), 7),
+        named_plus_form("g0", 12),
+        QuasiElement.single(1, -1, 1, Fraction(2, 3)) - QuasiElement.single(0, 1, 0),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["QSeries", "PlusForm", "QuasiElement"])
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_immutable_types_copy_and_pickle(index, round_trip):
+    obj = _copyable_objects()[index]
+    back = round_trip(obj)
+    assert type(back) is type(obj)
+    assert back == obj and hash(back) == hash(obj)
 
 
 def test_json_round_trip():
