@@ -304,7 +304,7 @@ def _check_raising_relations(report: VerificationReport, prec: int = 100) -> Non
 
 
 def _check_t4_recursions(report: VerificationReport, coeffs: int = 100) -> None:
-    basis = plus_basis(2, [3, 4, 12, 16, 48, 64], 4 * coeffs + 20)
+    basis = plus_basis(2, [3, 4, 12, 16, 48, 64], 4 * coeffs)  # T4' reads a(4n)
     for base in (3, 4):
         g = [basis[base], basis[4 * base], basis[16 * base]]
         lhs = t4_prime(g[0]).series
