@@ -4,7 +4,7 @@ The golden set pins the exact bytes that refactors of the working-precision,
 representation and memo layers must keep: ``exprs.evaluate`` on every named
 form, a few Laurent expressions and plus-space basis elements at windows
 0-3, 7 and 40 (trimmed and untrimmed), ``plus_basis`` with its
-``pool_s_max``, eight verification reports without their ``timing`` block,
+``pool_s_max`` for k = 0..7 and for the weight-5/2 orders 7..23 at q^900, eight verification reports without their ``timing`` block,
 the reduction certificate of every w4/w6 sweep element, ``parse_element`` on
 the README element, and a few ``psi``/``phi`` lifts.
 A case that raises records the exception class instead of a digest.
@@ -49,6 +49,8 @@ LAURENT = ("q", "1/Delta", "1/Delta^3", "q^-1", "j^2", "1/(E4-1)", "dilate(j,4)*
 # ladder to start from, so its basis cases record the BasisError, at one window
 BASIS = ((0, 4), (1, 1), (2, 4), (3, 1), (3, 5))
 BASIS_MAX_M = 8
+# the weight-5/2 orders of lift-table rows 1-3, 7 and 11-13 (no T4') at q^900
+DEEP_BASIS = (2, (7, 8, 11, 15, 19, 20, 23), 900)
 
 
 def _orders(k: int) -> list[int]:
@@ -77,8 +79,8 @@ def _report(report) -> str:
     return _canonical(payload)
 
 
-def _plus_basis(k: int, prec: int) -> str:
-    basis = plus_basis(k, _orders(k), prec)
+def _plus_basis(k: int, prec: int, orders=None) -> str:
+    basis = plus_basis(k, _orders(k) if orders is None else orders, prec)
     return _canonical(
         {
             "pool_s_max": basis.pool_s_max,
@@ -119,9 +121,15 @@ def cases():
                     f"evaluate|{text}|{prec}|{'trim' if trim else 'full'}",
                     lambda text=text, prec=prec, trim=trim: evaluate(text, prec, trim).to_json(),
                 )
-    for k in range(4):
+    # k = 4..7 pin the ladder's choice where q^-m + O(q) is not unique (k = 6)
+    for k in range(8):
         for prec in _windows(k):
             yield f"plus_basis|k={k}|{prec}", lambda k=k, prec=prec: _plus_basis(k, prec)
+    k, orders, prec = DEEP_BASIS
+    yield (
+        f"plus_basis|k={k}|m={','.join(map(str, orders))}|{prec}",
+        lambda k=k, prec=prec, orders=orders: _plus_basis(k, prec, orders),
+    )
     for which in ("th1", "th2"):
         yield f"verify_theorem|{which}|150", lambda w=which: _report(verify_theorem(w, 150))
     for which in ("w4", "w6"):
