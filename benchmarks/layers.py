@@ -11,8 +11,8 @@ both sides are present each case also gets ``"after_over_before"``, the
 ratio of the medians.  Every side records the big-integer backend (gmpy2 or
 the pure-``int`` fallback), the Python version and the core count.
 
-Each case runs in REPEATS fresh interpreters (heavy cases in one), so the
-memo caches of ``magforms.forms`` start empty.  Inputs are built before the
+Each case runs in REPEATS fresh interpreters, so the memo caches of
+``magforms.forms`` start empty.  Inputs are built before the
 clock starts; the kernel cases time the best of KERNEL_CALLS calls inside one
 interpreter.
 """
@@ -55,35 +55,35 @@ def short_product(series, a, b, n):
     return series._conv_int(a, b, n)
 
 
-# name -> (kind, parameters, heavy); heavy cases run in one interpreter only.
+# name -> (kind, parameters).
 # Kernel cases are named a_b_n: "flat195" is 195-bit coefficients,
 # "geometric8" a_i of about 8(i+1) bits.  The two flat pairs pack about 10^5
 # and 10^6 bits per operand; the last pair is lopsided.
 CASES = {
-    "conv_int.flat195_flat195_n250": ("kernel", {"n": 250, "a": ("flat", 195), "b": ("flat", 195)}, False),
-    "conv_int.flat495_flat495_n1000": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}, False),
-    "conv_int.geometric8_geometric8_n400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}, False),
-    "conv_int.flat70_geometric16_n400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}, False),
+    "conv_int.flat195_flat195_n250": ("kernel", {"n": 250, "a": ("flat", 195), "b": ("flat", 195)}),
+    "conv_int.flat495_flat495_n1000": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}),
+    "conv_int.geometric8_geometric8_n400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}),
+    "conv_int.flat70_geometric16_n400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}),
     # one j(4tau) ladder step of a plus-space basis at q^3600: the product and
     # 40 lower elements q^-m + O(q), coefficient i of about 16 sqrt(i) bits,
     # combined with rational scalars
-    "linear_combine.ladder41_3600": ("linear_combine", {"terms": 41, "prec": 3600, "bits": 16}, False),
-    "inv_E4.500": ("inv_e4", {"N": 500}, False),
-    "inv_E4.1000": ("inv_e4", {"N": 1000}, False),
-    "inv_E4.2000": ("inv_e4", {"N": 2000}, False),
+    "linear_combine.ladder41_3600": ("linear_combine", {"terms": 41, "prec": 3600, "bits": 16}),
+    "inv_E4.500": ("inv_e4", {"N": 500}),
+    "inv_E4.1000": ("inv_e4", {"N": 1000}),
+    "inv_E4.2000": ("inv_e4", {"N": 2000}),
     # a constant term of 3: the coefficient at q^n has denominator 3^(n+1)
-    "inv_E4plus2.1000": ("inv_e4", {"N": 1000, "plus": 2}, False),
-    "named_form.F4a.1000": ("named_form", {"name": "F4a", "N": 1000}, False),
-    "named_form.F6.1000": ("named_form", {"name": "F6", "N": 1000}, False),
-    "named_form.Triple8.500": ("named_form", {"name": "Triple8", "N": 500}, False),
+    "inv_E4plus2.1000": ("inv_e4", {"N": 1000, "plus": 2}),
+    "named_form.F4a.1000": ("named_form", {"name": "F4a", "N": 1000}),
+    "named_form.F6.1000": ("named_form", {"name": "F6", "N": 1000}),
+    "named_form.Triple8.500": ("named_form", {"name": "Triple8", "N": 500}),
     # the basis behind perfbench plus_space's slowest request, lift-table
     # row 4 (T4' of the element q^-3 + O(q), with q^-4 beside it, at q^3600)
-    "plus_basis.k2_m3_m4_3600": ("plus_basis", {"m_list": [3, 4], "prec": 3600}, False),
+    "plus_basis.k2_m3_m4_3600": ("plus_basis", {"m_list": [3, 4], "prec": 3600}),
     # the bases of `magforms table1 --extended --rows 6,8,9,10`, which asks
     # for orders 43, 67, 163 at q^3600 (the same elements as 163 alone) and 7
     # at q^14400
-    "plus_basis.m163_3600": ("plus_basis", {"m_list": [163], "prec": 3600}, True),
-    "plus_basis.m7_14400": ("plus_basis", {"m_list": [7], "prec": 14400}, True),
+    "plus_basis.m163_3600": ("plus_basis", {"m_list": [163], "prec": 3600}),
+    "plus_basis.m7_14400": ("plus_basis", {"m_list": [7], "prec": 14400}),
 }
 
 
@@ -157,14 +157,14 @@ def environment() -> dict:
 
 def child(src: str, name: str) -> int:
     sys.path.insert(0, os.path.abspath(src))
-    kind, params, _ = CASES[name]
+    kind, params = CASES[name]
     print(json.dumps({"environment": environment(), "result": run_case(kind, params)}))
     return 0
 
 
 def measure(src: str, name: str) -> tuple[dict, dict]:
     runs, env = [], {}
-    for _ in range(1 if CASES[name][2] else REPEATS):
+    for _ in range(REPEATS):
         argv = [sys.executable, os.path.abspath(__file__), "--src", src, "--child", name]
         proc = subprocess.run(argv, capture_output=True, text=True, check=True)
         out = json.loads(proc.stdout.strip().splitlines()[-1])

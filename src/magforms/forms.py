@@ -144,14 +144,17 @@ def quasi_monomial(a: int, b: int, c: int, prec: int, d: int = 0) -> QSeries:
 
 
 def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:
-    """Evaluate an integer polynomial at the j series (Horner)."""
+    """sum c_i j^i (integer or Fraction c_i) at the j series by Horner's rule from
+    the scaled c_d j, so degree d >= 1 loses d - 1 exponents of j."""
     if not coeffs_ascending:
         raise UsageError("empty polynomial")
-    acc = QSeries.monomial(0, coeffs_ascending[-1], j.prec)
-    for c in reversed(coeffs_ascending[:-1]):
-        acc = acc * j
-        acc = acc + QSeries.monomial(0, c, max(acc.prec, 0))
-    return acc
+    *rest, top = coeffs_ascending
+    if not rest:
+        return QSeries.monomial(0, top, max(j.prec, 0))
+    acc = top * j
+    for c in reversed(rest[1:]):
+        acc = (acc + c) * j
+    return acc + rest[0]
 
 
 def j_quotient(e4_power: int, num, den, den_power: int, prec: int) -> QSeries:

@@ -9,9 +9,10 @@ provides:
 * the operators U_p, V_p, chi_p, T_{p^2} (half-integral weight), the
   integral-weight operator family, the plus projection and T_4' = K+ o T_4;
 * the raising operator sending weight k+1/2 to k+5/2;
-* construction of the canonical basis elements q^{-m} + O(q) by exact linear
-  algebra over a theta/E_{2,4}/Delta(4tau) pool, extended to deep poles by
-  j(4tau) multiplication, each element memoised at its widest window;
+* the canonical basis elements q^{-m} + O(q), memoised at their widest window:
+  seeds m < 4 by exact linear algebra over a theta/E_{2,4}/Delta(4tau) pool, the
+  rest as polynomials in j(4tau) times the seeds, and at weight 5/2 all of them
+  as theta X(4tau) - 6 (delta theta) A(4tau), with X and A of level 1;
 * the named weight-1/2 and 5/2 forms used throughout the verification suite.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Sequence
 
 from .series import (
@@ -29,7 +31,7 @@ from .series import (
     linear_combine,
     widest_window,
 )
-from .forms import _j, e24, eisenstein, quasi_monomial, theta
+from .forms import _j, e24, eisenstein, poly_in_j, quasi_monomial, theta
 
 
 class PlusSpaceError(SeriesError):
@@ -67,45 +69,28 @@ def plus_check(series: QSeries, k: int) -> PlusReport:
     return PlusReport(not bad, min(bad, default=None), (lo, hi))
 
 
+@dataclass(frozen=True)
 class PlusForm:
     """A q-series of weight k + 1/2 supported on the plus-space exponents."""
 
-    __slots__ = ("k", "series")
+    k: int
+    series: QSeries
 
-    def __init__(self, k: int, series: QSeries):
-        if k < 0:
+    def __post_init__(self):
+        if self.k < 0:
             raise UsageError("weight parameter k must be nonnegative")
-        report = plus_check(series, k)
+        report = plus_check(self.series, self.k)
         if not report.ok:
             raise PlusSpaceError(
                 f"coefficient at q^{report.exponent} violates the plus condition "
-                f"for weight {k}+1/2"
+                f"for weight {self.k}+1/2"
             )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "series", series)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PlusForm is immutable")
-
-    def __reduce__(self):
-        return (PlusForm, (self.k, self.series))
 
     def coefficient(self, n: int) -> Fraction:
         return self.series.coefficient(n)
 
     def truncate(self, prec: int) -> "PlusForm":
         return PlusForm(self.k, self.series.truncate(prec))
-
-    def __eq__(self, other):
-        if not isinstance(other, PlusForm):
-            return NotImplemented
-        return self.k == other.k and self.series == other.series
-
-    def __hash__(self):
-        return hash((self.k, self.series))
-
-    def __repr__(self):
-        return f"PlusForm(k={self.k}, {self.series!r})"
 
 
 # ----------------------------------------------------------------------
@@ -233,54 +218,38 @@ def raising(f: PlusForm) -> PlusForm:
 
 
 def _solve_particular(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Gauss-Jordan; particular solution with free variables set to zero."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
+    """Gauss-Jordan; particular solution with free variables set to zero, or
+    None when the system is inconsistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []  # pivots[row] is its column
     for col in range(ncols):
-        sel = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
+        row = len(pivots)
+        sel = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
         pv = aug[row][col]
         aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
+        for r in range(len(aug)):
             if r != row and aug[r][col] != 0:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nrows:
+        pivots.append(col)
+        if len(pivots) == len(aug):
             break
-    for r in range(row, nrows):
-        if aug[r][ncols] != 0:
-            return None  # inconsistent
+    if any(r[ncols] != 0 for r in aug[len(pivots) :]):
+        return None
     solution = [Fraction(0)] * ncols
-    for r, c in pivots:
+    for r, c in enumerate(pivots):
         solution[c] = aug[r][ncols]
     return solution
 
 
-def _pool_descriptors(k: int, s_max: int) -> list[tuple[int, int, int]]:
-    """(theta power, e24 power, delta4 inverse power) column descriptors."""
-    out = []
-    for s in range(s_max + 1):
-        top = (2 * k + 1 + 24 * s) // 4
-        for b in range(top + 1):
-            a = 2 * k + 1 + 24 * s - 4 * b
-            out.append((a, b, s))
-    return out
-
-
 def _pool_element(a: int, b: int, s: int, prec: int) -> QSeries:
     """theta^a * E_{2,4}^b / Delta(4tau)^s through `prec`, or through its lead
-    q^(b - 4s) when that lies above.
-
-    1/Delta(4tau)^s has valuation -4s, so it costs theta^a E_{2,4}^b 4s
-    exponents.
-    """
+    q^(b - 4s) when that lies above; 1/Delta(4tau)^s, of valuation -4s, costs
+    theta^a E_{2,4}^b 4s exponents."""
     prec = max(prec, b - 4 * s)
     work = prec + 4 * s
     out = theta(work) ** a
@@ -296,36 +265,28 @@ def _pool_element(a: int, b: int, s: int, prec: int) -> QSeries:
 _SEED_S_MAX = 3
 
 
-def _seed_combination(k: int, m: int):
-    """Solve for f_m = q^{-m} + O(q) on the pool; returns descriptor weights."""
-    s_max = _SEED_S_MAX
-    bound = 4 * s_max + 2 * k + 8
-    descriptors = _pool_descriptors(k, s_max)
+def _pool_seed(k: int, m: int, prec: int) -> QSeries:
+    """f_m = q^{-m} + O(q), m <= 3, through q^prec, solved on the pool."""
+    bound = 4 * _SEED_S_MAX + 2 * k + 8
+    # (theta power, E_{2,4} power, Delta(4tau) inverse power) of each column
+    descriptors = [
+        (2 * k + 1 + 24 * s - 4 * b, b, s)
+        for s in range(_SEED_S_MAX + 1)
+        for b in range((2 * k + 1 + 24 * s) // 4 + 1)
+    ]
     columns = [_pool_element(a, b, s, bound) for (a, b, s) in descriptors]
     # the principal part must be q^-m, and every inadmissible exponent vanish
-    exponents = [e for e in range(-4 * s_max, bound + 1) if e <= 0 or not admissible(k, e)]
+    exponents = [e for e in range(-4 * _SEED_S_MAX, bound + 1) if e <= 0 or not admissible(k, e)]
     rows = [[col._get(e) for col in columns] for e in exponents]
     solution = _solve_particular(rows, [Fraction(int(e == -m)) for e in exponents])
     if solution is None:
-        return None
-    return [
-        (coeff, desc) for coeff, desc in zip(solution, descriptors) if coeff != 0
-    ]
-
-
-def _build_seed(k: int, m: int, prec: int) -> QSeries:
-    """Construct the basis element f_m (m <= 3) through q^prec."""
-    combo = _seed_combination(k, m)
-    if combo is None:
         raise BasisError(
             f"basis element q^-{m} (k={k}) not found: pool with "
             f"s_max={_SEED_S_MAX} cannot represent q^-{m}"
         )
-    series = linear_combine(
-        [(coeff, _pool_element(a, b, s, prec)) for coeff, (a, b, s) in combo]
-    ).restrict(-m, prec)
-    _validate_shape(k, m, series)
-    return series
+    return linear_combine(
+        [(c, _pool_element(a, b, s, prec)) for c, (a, b, s) in zip(solution, descriptors) if c]
+    )
 
 
 def _validate_shape(k: int, m: int, series: QSeries) -> None:
@@ -359,32 +320,104 @@ def _admissible_pole_orders(k: int, max_m: int) -> list[int]:
     return [m for m in range(max_m + 1) if admissible(k, -m)]
 
 
+# Weight 5/2 forms theta X(4tau) - 6 (delta theta) A(4tau) as {"g0": A, "g1": B}, with
+# X = E2 A(j) + (E4^2 E6/Delta) B(j): g0 = theta E2(4tau) - 6 delta theta, g1 =
+# theta (E4^2 E6/Delta)(4tau), g2 = g0 j(4tau) and the seed f3 = 56 g0 + (g1 - g2)/12
+_G_ROWS = {
+    "g0": {"g0": [1]},
+    "g1": {"g1": [1]},
+    "g2": {"g0": [0, 1]},
+    "f3": {"g0": [56, Fraction(-1, 12)], "g1": [Fraction(1, 12)]},
+    "f4a": {"g0": [Fraction(7, 8), Fraction(-1, 768)], "g1": [Fraction(1, 768)]},
+    "f4b": {"g0": [Fraction(19, 18), Fraction(-1, 648)], "g1": [Fraction(-5, 648)]},
+}
+
+# k -> {m: {generator: ascending coefficients of a polynomial in j}}, grown on demand
+_J_POLYS: dict[int, dict] = {}
+
+
+def _j_polys(k: int, m: int) -> dict:
+    """{g: P} with f_m = sum_g P(j(4tau)) g over the seeds g = f_r, r < 4, or
+    over g0 and g1 at weight 5/2.  For m = 4i + r, f_m is j(4tau)^i f_r minus
+    c_n f_n for each n < m, c_n its coefficient at q^-n (f_r through q^(4i)
+    gives them): the only such sum with principal part q^-m, since the leads
+    q^(-4i-r) differ, so it is the element the j(4tau) ladder builds."""
+    rows = {
+        r: _G_ROWS["f3" if r else "g0"] if k == 2 else {r: [1]}
+        for r in _admissible_pole_orders(k, 3)
+    }
+    table = _J_POLYS.setdefault(k, dict(rows))
+    if m in table:
+        return table[m]
+    seeds = {r: _element(k, r, m) for r in rows}
+    for n in _admissible_pole_orders(k, m):
+        if n in table:
+            continue
+        i, r = divmod(n, 4)
+        polys = {g: [0] * i + p for g, p in rows[r].items()}
+        # (j^i)(4tau) through q^4 times f_r through q^(4i) reaches q^0
+        part = ((_j(i) ** i).substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
+        for n2, lower in list(table.items()):
+            c = part._get(-n2)
+            for g, p in lower.items() if c else ():
+                q = polys.setdefault(g, [])
+                q += [0] * (len(p) - len(q))
+                for t, x in enumerate(p):
+                    q[t] -= c * x
+        for p in polys.values():  # no zero top coefficient: len(P) - 1 is the degree
+            while p and not p[-1]:
+                p.pop()
+        table[n] = polys
+    return table[m]
+
+
+def _theta_sums(x: QSeries, a: QSeries, prec: int) -> QSeries:
+    """theta X(4tau) - 6 (delta theta) A(4tau) through q^prec, for X and A of
+    level 1 through q^(prec // 4): with theta = 1 + 2 sum q^(s^2), each product
+    is isqrt(prec) shifted sums, and X(4tau), A(4tau) vanish off multiples of 4."""
+    lo = min(x.lead, a.lead)
+    x, a = x.restrict(lo, prec // 4), a.restrict(lo, prec // 4)
+    den = lcm(x.den, a.den)
+    xs, As = ([v * (den // f.den) for v in f.nums] for f in (x, a))
+    out = [0] * (prec - 4 * lo + 1)
+    for s in range(isqrt(prec - 4 * lo) + 1):
+        t, u = (2, 12 * s * s) if s else (1, 0)  # theta and -6 delta theta at q^(s^2)
+        out[s * s :: 4] = [o + t * v - u * w for o, v, w in zip(out[s * s :: 4], xs, As)]
+    return QSeries._of(4 * lo, out, den)
+
+
+def _theta_form(row: dict, prec: int) -> QSeries:
+    """The weight-5/2 form {"g0": A, "g1": B} on [-4d, prec], d = max(deg A, deg B + 1).
+    As delta j = -E4^2 E6/Delta, X = E2 A(j) - delta C(j) with C' = B."""
+    a, b = row.get("g0") or [0], row.get("g1", [])
+    d = max(len(a) - 1, len(b))
+    w = prec // 4
+    j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w
+    av = poly_in_j(a, j)
+    c = poly_in_j([0] + [Fraction(x) / (i + 1) for i, x in enumerate(b)], j)
+    return _theta_sums(eisenstein(2, w + d) * av - c.delta(), av, prec)
+
+
 @widest_window
 def _element(k: int, m: int, prec: int) -> QSeries:
-    """The basis element q^-m + O(q) through q^prec: a seed for m < 4, else
-    f_(m-4) j(4tau) with integral corrections by the lower elements."""
-    if m < 4:
-        if k == 2 and m == 0:
-            return _g0_series(prec)
-        if k == 2 and m == 3:
-            series = _g_combination("f3", prec).restrict(-3, prec)
-            _validate_shape(2, 3, series)
-            return series
-        return _build_seed(k, m, prec)
-    # f_(m-4) has valuation 4-m and j(4tau) valuation -4, so each factor
-    # costs the other 4 and m-4 exponents
-    product = _element(k, m - 4, prec + 4) * at_4tau(_j, prec + m - 4)
-    # each element q^-m2 + O(q) vanishes at q^-m3 for m3 < m2, so every
-    # correction scalar can be read off the raw product; the highest order
-    # goes first, so the lower ones are truncations of its chain
-    terms = [(1, product)] + [
-        (-product._get(-m2), _element(k, m2, prec))
-        for m2 in reversed(_admissible_pole_orders(k, m - 1))
-        if product._get(-m2)
-    ]
-    series = linear_combine(terms).restrict(-m, prec)
+    """The basis element q^-m + O(q) through q^prec: a pool seed for m < 4 and
+    k != 2, else sum_g P(j(4tau)) g, in theta form at k = 2."""
+    if k == 2:
+        series = _theta_form(_j_polys(k, m), prec)
+    elif m < 4:
+        series = _pool_seed(k, m, prec)
+    else:
+        terms = []
+        for r, p in _j_polys(k, m).items():
+            d = len(p) - 1  # f_r has valuation -r and P(j(4tau)) -4d: each costs the other
+            if d > 0:
+                pj = at_4tau(lambda w: poly_in_j(p, _j(w + d - 1)), prec + r)
+                terms.append((1, _element(k, r, prec + 4 * d) * pj))
+            elif p:
+                terms.append((p[0], _element(k, r, prec)))
+        series = linear_combine(terms).truncate(prec)
     _validate_shape(k, m, series)
-    return series
+    return series.restrict(-m, prec)
 
 
 def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
@@ -402,12 +435,12 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
             )
     if k == 1:
         raise BasisError(
-            "weight 3/2 (k = 1) has no basis: the j(4tau) ladder starts from the "
+            "weight 3/2 (k = 1) has no basis: the j(4tau) polynomials multiply the "
             "seeds 1 + O(q) and q^-1 + O(q), and neither exists in weight 3/2"
         )
     if prec < 0:
         raise PrecisionError("the seed 1 + O(q) needs a window through q^0")
-    # the highest order first, so the lower ones are truncations of its chain
+    # the highest order first, so one extension of the j-polynomial table serves all
     elements = {m: _element(k, m, prec) for m in sorted(m_list, reverse=True)}
     # weight 5/2 takes its seeds from g0 and f3, not from the pool
     pool_s_max = 0 if k == 2 else _SEED_S_MAX
@@ -426,50 +459,13 @@ def at_4tau(build, prec: int) -> QSeries:
     return build(-(-prec // 4)).substitute_power(4)
 
 
-# The named generators are not memoised, so a lift or congruence request costs
-# the same whatever ran before it; plus_basis memoises its seeds in _element.
-def _g0_series(prec: int) -> QSeries:
-    th = theta(prec)
-    return (th * (th**4 - 20 * e24(prec))).truncate(prec)
-
-
-# g1, g2 and h0 each carry one factor at 4tau of valuation -4, a monomial
-# with Delta^-1 or j, which costs their other factors 4 exponents.
-def _g1_series(prec: int) -> QSeries:
-    """theta (E4^2 E6 / Delta)(4tau)."""
-    m4 = at_4tau(lambda p: quasi_monomial(0, 2, 1, p, -1), prec)
-    return (theta(prec + 4) * m4).truncate(prec)
-
-
-def _g2_series(prec: int, g0: QSeries | None = None) -> QSeries:
-    """g0 j(4tau); pass *g0* if it is already built through prec + 4."""
-    g0 = _g0_series(prec + 4) if g0 is None else g0
-    return (g0 * at_4tau(_j, prec)).truncate(prec)
-
-
 def _h0_series(prec: int) -> QSeries:
     """f theta (theta^4 - 2f)(theta^4 - 16f) (E6/Delta)(4tau) + 56 theta, f = E_{2,4}."""
-    work = prec + 4
-    th = theta(work)
-    f = e24(work)
+    work = prec + 4  # (E6/Delta)(4tau), of valuation -4, costs the other factors 4
+    th, f = theta(work), e24(work)
     m4 = at_4tau(lambda p: quasi_monomial(0, 0, 1, p, -1), prec)
     main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * m4
     return (main + 56 * th).truncate(prec)
-
-
-# the weight 5/2 combinations of g0, g1 and g2; f3 is the basis element
-# q^-3 + O(q), which plus_basis serves
-_G_COMBINATIONS = {
-    "f3": (56, Fraction(1, 12), Fraction(-1, 12)),
-    "f4a": (Fraction(7, 8), Fraction(1, 768), Fraction(-1, 768)),
-    "f4b": (Fraction(19, 18), Fraction(-5, 648), Fraction(-1, 648)),
-}
-
-
-def _g_combination(name: str, prec: int) -> QSeries:
-    g0 = _g0_series(prec + 4)  # g2 needs it there; the combination stops at prec
-    gens = (g0, _g1_series(prec), _g2_series(prec, g0))
-    return linear_combine(list(zip(_G_COMBINATIONS[name], gens)))
 
 
 def _f6half_series(prec: int) -> QSeries:
@@ -480,12 +476,11 @@ def _f6half_series(prec: int) -> QSeries:
 
 # name -> (k, builder) for every name named_plus_form accepts
 _NAMED_BUILDERS = {
-    "g0": (2, _g0_series),
-    "g1": (2, _g1_series),
-    "g2": (2, _g2_series),
+    **{
+        name: (2, lambda prec, row=_G_ROWS[name]: _theta_form(row, prec))
+        for name in ("g0", "g1", "g2", "f4a", "f4b")
+    },
     "h0": (0, _h0_series),
-    "f4a": (2, lambda prec: _g_combination("f4a", prec)),
-    "f4b": (2, lambda prec: _g_combination("f4b", prec)),
     "f6half": (3, _f6half_series),
 }
 PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS)

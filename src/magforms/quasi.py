@@ -122,7 +122,8 @@ class QuasiElement:
         return self.weight == other.weight and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.weight, tuple(sorted(self.terms.items()))))
+        # every zero element is equal to every other, whatever its weight
+        return hash((self.weight if self.terms else None, tuple(sorted(self.terms.items()))))
 
     def __str__(self):
         if not self.terms:

@@ -1,5 +1,6 @@
 """Classical q-expansions and the second-order operators."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from magforms.forms import (
     specific_d_apply,
     theta,
 )
-from magforms.series import PrecisionError, SeriesError, UsageError, linear_combine
+from magforms.series import PrecisionError, QSeries, SeriesError, UsageError, linear_combine
 from magforms.tables import LIFT_TABLE
 
 
@@ -149,6 +150,23 @@ def test_quasi_monomial_window_is_exactly_d_to_prec(exponents, prec):
     f = quasi_monomial(a, b, c, prec, d)
     assert (f.lead, f.prec) == (d, prec)
     assert f.coefficient(d) == 1
+
+
+@pytest.mark.parametrize("degree", range(13))
+def test_poly_in_j_is_the_sum_of_powers_on_its_window(degree):
+    # Fraction and int coefficients; degree d >= 1 loses d - 1 exponents of j
+    rng = random.Random(degree)
+    coeffs = [Fraction(rng.randint(-99, 99), rng.choice((1, 2, 12, 768))) for _ in range(degree)]
+    coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 9))
+    prec = 20
+    value = poly_in_j(coeffs, j_invariant(prec))
+    assert (value.lead, value.prec) == (-degree, prec - max(degree - 1, 0))
+    wide = j_invariant(prec + degree)
+    power, terms = QSeries.one(prec + degree), []
+    for c in coeffs:
+        terms.append((c, power))
+        power = power * wide
+    assert value == linear_combine(terms).restrict(-degree, value.prec)
 
 
 @pytest.mark.parametrize("row", LIFT_TABLE, ids=lambda row: f"row{row.row_id}")

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magforms.forms import discriminant, eisenstein, quasi_monomial, theta
+from magforms import halfint
+from magforms.forms import discriminant, eisenstein, j_invariant, quasi_monomial, theta
 from magforms.halfint import (
     BasisError,
     PlusForm,
@@ -268,6 +271,68 @@ def test_basis_seeds_from_one_pool_size(k):
         assert f.coefficient(-m) == 1
         assert all(f._get(e) == 0 for e in range(-m + 1, 1))
         assert f.integrality_check().ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_theta_sums_equal_the_plain_products(data):
+    # X(4tau) and A(4tau) vanish off multiples of 4, so level-1 series through
+    # q^w give the level-4 ones through q^prec for prec < 4w + 4
+    w = data.draw(st.integers(0, 3), label="level-1 window")
+    prec = 4 * w + data.draw(st.integers(1, 3), label="prec - 4w")
+    coeff = st.fractions(min_value=-99, max_value=99, max_denominator=12)
+
+    def level1(label):
+        lead = data.draw(st.integers(-3, 0), label=f"{label} lead")
+        n = w - lead + 1
+        return QSeries(lead, data.draw(st.lists(coeff, min_size=n, max_size=n), label=label))
+
+    def at_4tau_through_prec(f):
+        return QSeries(4 * f.lead, list(f.substitute_power(4).coeffs) + [0] * (prec - 4 * w))
+
+    x, a = level1("X"), level1("A")
+    lo = 4 * min(x.lead, a.lead)
+    th = theta(prec - lo)
+    plain = th * at_4tau_through_prec(x) - 6 * th.delta() * at_4tau_through_prec(a)
+    assert halfint._theta_sums(x, a, prec) == plain.restrict(lo, prec)
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_elements_are_j_polynomials_in_the_seeds(k):
+    # sum_r f_r P_{m,r}(j(4tau)), with the powers of j multiplied out plainly
+    prec, degree = 40, 3
+    j = j_invariant(prec // 4 + degree + 2)
+    for m in [m for m in range(13) if admissible(k, -m)]:
+        terms = []
+        for r, p in halfint._j_polys(k, m).items():
+            assert len(p) <= degree + 1
+            power, poly = QSeries.one(j.prec), []
+            for c in p:
+                poly.append((c, power))
+                power = power * j
+            if p:
+                seed = plus_basis(k, [r], prec + 4 * degree)[r].series
+                terms.append((1, seed * linear_combine(poly).substitute_power(4)))
+        expected = linear_combine(terms).restrict(-m, prec)
+        assert plus_basis(k, [m], prec)[m].series == expected
+
+
+@pytest.mark.parametrize("k", [0, 2, 3, 6])
+def test_elements_match_the_j4tau_ladder(k):
+    # f_m = f_(m-4) j(4tau) - sum_n c_n f_n, each c_n read off the principal
+    # part; at k = 6, where q^-m + O(q) is not unique, this fixes the choice
+    prec, top = 24, 16
+    wide = prec + top
+    J = j_invariant(wide // 4 + 2).substitute_power(4)
+    f = {}
+    for m in [m for m in range(top + 1) if admissible(k, -m)]:
+        if m < 4:
+            f[m] = plus_basis(k, [m], wide)[m].series
+            continue
+        product = f[m - 4] * J
+        terms = [(1, product)] + [(-product._get(-n), f[n]) for n in f]
+        f[m] = linear_combine(terms).restrict(-m, product.prec)
+        assert plus_basis(k, [m], prec)[m].series == f[m].truncate(prec)
 
 
 def test_basis_weight_3_half_has_no_seed():

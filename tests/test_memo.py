@@ -85,14 +85,3 @@ def test_narrow_basis_after_a_wide_build_equals_a_fresh_build():
     code = "from magforms.halfint import plus_basis; print(plus_basis(0, [4], 0)[4].series.to_json())"
     fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert warm == QSeries.from_json_dict(json.loads(fresh.stdout))
-
-
-def test_lower_pole_orders_reuse_the_chain(monkeypatch):
-    # a smaller basis at the same window is read off the elements already built
-    plus_basis(2, [23], 900)
-    calls = []
-    validate = halfint._validate_shape
-    monkeypatch.setattr(halfint, "_validate_shape", lambda *a: calls.append(a) or validate(*a))
-    basis = plus_basis(2, [19], 900)
-    assert calls == []
-    assert basis[19].series.lead == -19 and basis[19].series.prec == 900

@@ -291,3 +291,12 @@ _MONOMIALS_W4 = [
 def test_parse_element_round_trips_str(terms):
     e = QuasiElement(4, terms)
     assert parse_element(str(e)) == e
+
+
+def test_zero_elements_hash_alike():
+    # every zero element equals every other, so sets and dicts keep one of them
+    zeros = [QuasiElement.zero(w) for w in (2, 4, 6)] + [single(0, 1, 0) - single(0, 1, 0)]
+    assert all(z == zeros[0] and hash(z) == hash(zeros[0]) for z in zeros)
+    assert len(set(zeros)) == 1
+    assert {QuasiElement.zero(4): "w4"}[QuasiElement.zero(6)] == "w4"
+    assert len({single(0, 1, 0), single(0, 1, 0) * 1, QuasiElement.zero(4)}) == 2
