@@ -64,8 +64,8 @@ CASES = {
     "conv_int.flat495_flat495_n1000": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}),
     "conv_int.geometric8_geometric8_n400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}),
     "conv_int.flat70_geometric16_n400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}),
-    # one j(4tau) ladder step of a plus-space basis at q^3600: the product and
-    # 40 lower elements q^-m + O(q), coefficient i of about 16 sqrt(i) bits,
+    # shaped like one step of the former j(4tau) ladder at q^3600: a product
+    # and 40 elements q^-m + O(q), coefficient i of about 16 sqrt(i) bits,
     # combined with rational scalars
     "linear_combine.ladder41_3600": ("linear_combine", {"terms": 41, "prec": 3600, "bits": 16}),
     "inv_E4.500": ("inv_e4", {"N": 500}),

@@ -340,8 +340,8 @@ def _j_polys(k: int, m: int) -> dict:
     """{g: P} with f_m = sum_g P(j(4tau)) g over the seeds g = f_r, r < 4, or
     over g0 and g1 at weight 5/2.  For m = 4i + r, f_m is j(4tau)^i f_r minus
     c_n f_n for each n < m, c_n its coefficient at q^-n (f_r through q^(4i)
-    gives them): the only such sum with principal part q^-m, since the leads
-    q^(-4i-r) differ, so it is the element the j(4tau) ladder builds."""
+    gives them).  The leads q^(-4i-r) differ, so this is the only such sum with
+    principal part q^-m: f_(m-4) j(4tau) corrected by lower elements is the same."""
     rows = {
         r: _G_ROWS["f3" if r else "g0"] if k == 2 else {r: [1]}
         for r in _admissible_pole_orders(k, 3)
@@ -389,7 +389,7 @@ def _theta_sums(x: QSeries, a: QSeries, prec: int) -> QSeries:
 def _theta_form(row: dict, prec: int) -> QSeries:
     """The weight-5/2 form {"g0": A, "g1": B} on [-4d, prec], d = max(deg A, deg B + 1).
     As delta j = -E4^2 E6/Delta, X = E2 A(j) - delta C(j) with C' = B."""
-    a, b = row.get("g0") or [0], row.get("g1", [])
+    a, b = row.get("g0") or [0], row.get("g1", [])  # g1 has A = 0
     d = max(len(a) - 1, len(b))
     w = prec // 4
     j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w

@@ -43,10 +43,10 @@ OUTPUTS = Path(__file__).with_name("outputs.json")
 WINDOWS = (0, 1, 2, 3, 7, 40)
 PLUS_NAMES = ("g0", "g1", "g2", "h0", "f4a", "f4b", "f6half")
 LAURENT = ("q", "1/Delta", "1/Delta^3", "q^-1", "j^2", "1/(E4-1)", "dilate(j,4)*Delta")
-# (k, m): per weight a pole order that needs a j(4tau) step above the pool
-# seeds, and the seed k = 3, m = 1, whose pool leads sit above windows 0-2;
+# (k, m): per weight a pole order that needs a j(4tau) polynomial above the
+# pool seeds, and the seed k = 3, m = 1, whose pool leads sit above windows 0-2;
 # weight 3/2 (k = 1) has no seed 1 + O(q) or q^-1 + O(q) for the j(4tau)
-# ladder to start from, so its basis cases record the BasisError, at one window
+# polynomials to multiply, so its basis cases record the BasisError, at one window
 BASIS = ((0, 4), (1, 1), (2, 4), (3, 1), (3, 5))
 BASIS_MAX_M = 8
 # the weight-5/2 orders of lift-table rows 1-3, 7 and 11-13 (no T4') at q^900
@@ -121,7 +121,7 @@ def cases():
                     f"evaluate|{text}|{prec}|{'trim' if trim else 'full'}",
                     lambda text=text, prec=prec, trim=trim: evaluate(text, prec, trim).to_json(),
                 )
-    # k = 4..7 pin the ladder's choice where q^-m + O(q) is not unique (k = 6)
+    # k = 4..7 pin the element chosen where q^-m + O(q) is not unique (k = 6)
     for k in range(8):
         for prec in _windows(k):
             yield f"plus_basis|k={k}|{prec}", lambda k=k, prec=prec: _plus_basis(k, prec)
