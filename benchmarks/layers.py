@@ -20,7 +20,6 @@ interpreter.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -42,17 +41,6 @@ def flat(rng: random.Random, n: int, bits: int) -> list[int]:
 def geometric(rng: random.Random, n: int, step: int) -> list[int]:
     """a_i of about step*(i+1) bits, as in 1/E4 (step 8) or 1/E4^2 (16)."""
     return [rng.choice((-1, 1)) * (rng.getrandbits(step) << (step * i) | rng.getrandbits(step * i)) for i in range(n)]
-
-
-def short_product(series, a, b, n):
-    """The first n coefficients of a*b through the package's kernel.
-
-    Before the short-product kernel, ``_conv_int(a, b)`` returned the whole
-    product; it is cut to n, which is what ``mul`` then kept.
-    """
-    if len(inspect.signature(series._conv_int).parameters) == 2:
-        return series._conv_int(a, b)[:n]
-    return series._conv_int(a, b, n)
 
 
 # name -> (kind, parameters).
@@ -99,7 +87,7 @@ def run_case(kind: str, params: dict) -> dict:
         best = float("inf")
         for _ in range(KERNEL_CALLS):
             t0 = time.perf_counter()
-            short_product(series, a, b, params["n"])
+            series._conv_int(a, b, params["n"])
             best = min(best, time.perf_counter() - t0)
         return {"s": best}
     if kind == "linear_combine":

@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = add_parser("unlift", help="apply the reverse map")
-    p.add_argument("source", help="expression or JSON file")
+    p.add_argument("source", help="plus form name, JSON file, or expression")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prec", type=int, default=100)
     p.add_argument("--out", default=None)
@@ -132,7 +132,7 @@ def _read_series_file(path: str):
 
 
 def _load_source_series(source: str, k: int | None, prec: int):
-    """Resolve a lift source: plus-form name, JSON file, or expression."""
+    """Resolve a lift or unlift source: plus-form name, JSON file, or expression."""
     if source in PLUS_FORM_NAMES:
         form = named_plus_form(source, prec)
         return form.series, (form.k if k is None else k)
@@ -185,10 +185,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_unlift(args) -> int:
-    loaded = _read_series_file(args.source)
-    series = evaluate(args.source, args.prec) if loaded is None else loaded[0]
-    out = phi(series, args.k)
-    _emit(out.to_json(), args)
+    series, k = _load_source_series(args.source, args.k, args.prec)
+    _emit(phi(series, k).to_json(), args)
     return EXIT_PASS
 
 

@@ -169,7 +169,7 @@ class _Parser:
                 inner = self.expr()
                 arg = None
                 k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == ",":
+                if val != "delta" and k2 == "op" and v2 == ",":
                     self.next()
                     arg = self._signed_int()
                 self.expect_op(")")
@@ -233,11 +233,14 @@ def _trim_trailing_zeros(f: QSeries) -> QSeries:
 
 def evaluate(text: str, prec: int, trim: bool = False) -> QSeries:
     """Evaluate an expression through q^prec (PrecisionError when out of reach)."""
-    ast = parse_expression(text)
-    out = _eval(ast, prec)
-    if out.prec < prec:
-        # widen by the shortfall; the q leaf works through at least q^1
-        out = _eval(ast, max(prec, 1) + prec - out.prec)
+    try:  # the parser recurses per level of nesting, _eval per operation
+        ast = parse_expression(text)
+        out = _eval(ast, prec)
+        if out.prec < prec:
+            # widen by the shortfall; the q leaf works through at least q^1
+            out = _eval(ast, max(prec, 1) + prec - out.prec)
+    except RecursionError:
+        raise ParseError("expression nested too deeply or too long") from None
     result = out.truncate(prec)
     return _trim_trailing_zeros(result) if trim else result
 

@@ -264,26 +264,32 @@ def _pool_element(a: int, b: int, s: int, prec: int) -> QSeries:
 # that exists for k = 0 and 3..7; at k = 1 the m = 0 seed does not exist.
 _SEED_S_MAX = 3
 
+# (k, m) -> the seed f_m's pool coefficients, solved once on a window fixed by k
+_POOL_SOLUTIONS: dict[tuple[int, int], list[Fraction]] = {}
+
 
 def _pool_seed(k: int, m: int, prec: int) -> QSeries:
     """f_m = q^{-m} + O(q), m <= 3, through q^prec, solved on the pool."""
-    bound = 4 * _SEED_S_MAX + 2 * k + 8
     # (theta power, E_{2,4} power, Delta(4tau) inverse power) of each column
     descriptors = [
         (2 * k + 1 + 24 * s - 4 * b, b, s)
         for s in range(_SEED_S_MAX + 1)
         for b in range((2 * k + 1 + 24 * s) // 4 + 1)
     ]
-    columns = [_pool_element(a, b, s, bound) for (a, b, s) in descriptors]
-    # the principal part must be q^-m, and every inadmissible exponent vanish
-    exponents = [e for e in range(-4 * _SEED_S_MAX, bound + 1) if e <= 0 or not admissible(k, e)]
-    rows = [[col._get(e) for col in columns] for e in exponents]
-    solution = _solve_particular(rows, [Fraction(int(e == -m)) for e in exponents])
+    solution = _POOL_SOLUTIONS.get((k, m))
     if solution is None:
-        raise BasisError(
-            f"basis element q^-{m} (k={k}) not found: pool with "
-            f"s_max={_SEED_S_MAX} cannot represent q^-{m}"
-        )
+        bound = 4 * _SEED_S_MAX + 2 * k + 8
+        columns = [_pool_element(a, b, s, bound) for (a, b, s) in descriptors]
+        # the principal part must be q^-m, and every inadmissible exponent vanish
+        exponents = [e for e in range(-4 * _SEED_S_MAX, bound + 1) if e < 1 or not admissible(k, e)]
+        rows = [[col._get(e) for col in columns] for e in exponents]
+        solution = _solve_particular(rows, [Fraction(int(e == -m)) for e in exponents])
+        if solution is None:
+            raise BasisError(
+                f"basis element q^-{m} (k={k}) not found: pool with "
+                f"s_max={_SEED_S_MAX} cannot represent q^-{m}"
+            )
+        _POOL_SOLUTIONS[k, m] = solution
     return linear_combine(
         [(c, _pool_element(a, b, s, prec)) for c, (a, b, s) in zip(solution, descriptors) if c]
     )
@@ -471,7 +477,7 @@ def _h0_series(prec: int) -> QSeries:
 def _f6half_series(prec: int) -> QSeries:
     # built through q^3 at least, the window the exact scale is read on
     f1 = plus_basis(3, [1], max(prec, 3))[1].series
-    return (f1 * f6half_scale(3)).truncate(prec)
+    return (f1 * f6half_scale()).truncate(prec)
 
 
 # name -> (k, builder) for every name named_plus_form accepts
@@ -494,9 +500,9 @@ def named_plus_form(name: str, prec: int) -> PlusForm:
     return PlusForm(k, builder(prec))
 
 
-def f6half_scale(prec: int = 60) -> Fraction:
+def f6half_scale() -> Fraction:
     """The normalising scalar applied to the weight 7/2 basis element."""
-    a3 = plus_basis(3, [1], max(prec, 3))[1].series.coefficient(3)
+    a3 = plus_basis(3, [1], 3)[1].series.coefficient(3)
     if a3 == 0:
         raise BasisError("cannot normalise f6half: vanishing q^3 coefficient")
     return Fraction(1) / a3

@@ -60,29 +60,21 @@ def psi(f: PlusForm | QSeries, k: int | None = None) -> QSeries:
     return QSeries._of(1, out, a.den)
 
 
-def phi(F: QSeries, k: int, out_prec: int | None = None) -> QSeries:
+def phi(F: QSeries, k: int) -> QSeries:
     """The reverse map, supported on the exponents |D| n^2."""
     D = lift_discriminant(k)
     n_max = F.prec
     if n_max < 1:
         raise PrecisionError("input precision too small for the reverse lift")
-    full_prec = abs(D) * (n_max + 1) ** 2 - 1
-    if out_prec is None:
-        out_prec = full_prec
-    if out_prec > full_prec:
-        raise PrecisionError(
-            f"requested output precision {out_prec} exceeds derivable {full_prec}"
-        )
-    coeffs = [0] * out_prec  # exponents 1..out_prec
-    n_top = isqrt(max(out_prec, 0) // abs(D))
-    w = _weights(D, k, n_top)
+    coeffs = [0] * (abs(D) * (n_max + 1) ** 2 - 1)  # up to the first that needs b(n_max + 1)
+    w = _weights(D, k, n_max)
     # solve F = w * b (Dirichlet convolution) for b by forward substitution:
     # when n is reached, every w(d) b(n/d) with d > 1 has been subtracted
-    head = F.restrict(0, n_top)  # head.nums[n] is the numerator at q^n
+    head = F.restrict(0, n_max)  # head.nums[n] is the numerator at q^n
     b = list(head.nums)
-    for n in range(1, n_top + 1):
+    for n in range(1, n_max + 1):
         coeffs[abs(D) * n * n - 1] = b[n]
-        for d in range(2, n_top // n + 1):
+        for d in range(2, n_max // n + 1):
             b[n * d] -= w[d] * b[n]
     return QSeries._of(1, coeffs, head.den)
 

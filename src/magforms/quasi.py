@@ -179,16 +179,15 @@ def parse_element(text: str) -> QuasiElement:
     The text is read with the expression grammar of :mod:`magforms.exprs`
     and must be a rational combination of f(a,b,c) terms, or 0.
     """
-    value = _value(parse_expression(text))
+    try:  # the parser recurses per level of nesting, _value per operation
+        value = _value(parse_expression(text))
+    except RecursionError:
+        raise UsageError("element nested too deeply or too long") from None
     if isinstance(value, Fraction):
         if value:
             raise UsageError("an element needs f(a,b,c) terms")
         return QuasiElement.zero(0)
     return value
-
-
-def format_element(v: QuasiElement) -> str:
-    return str(v)
 
 
 # ----------------------------------------------------------------------

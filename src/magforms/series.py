@@ -579,12 +579,12 @@ def mul(f: QSeries, g: QSeries) -> QSeries:
     """Cauchy product, known through min(f.prec + v(g), g.prec + v(f))."""
     ef = f._first_possible_nonzero()
     eg = g._first_possible_nonzero()
-    out_prec = min(f.prec + eg, g.prec + ef)
-    out_lead = min(ef + eg, out_prec)
-    length = out_prec - out_lead + 1
+    prec = min(f.prec + eg, g.prec + ef)
+    lead = min(ef + eg, prec)
+    length = prec - lead + 1
     a = f.nums[ef - f.lead : ef - f.lead + length]
     b = a if g is f else g.nums[eg - g.lead : eg - g.lead + length]
-    return QSeries._of(out_lead, _conv_int(a, b, length), f.den * g.den)
+    return QSeries._of(lead, _conv_int(a, b, length), f.den * g.den)
 
 
 def inv(f: QSeries) -> QSeries:

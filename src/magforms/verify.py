@@ -192,7 +192,7 @@ def verify_table1(
 # ----------------------------------------------------------------------
 
 _INTEGRAL_FORMS = {"F4a", "F4b", "F6", "Delta", "LS8", "Triple8"}
-_HALF_INTEGRAL = {"f4a": 2, "f4b": 2, "f6half": 3}
+_HALF_INTEGRAL = {"f4a", "f4b", "f6half"}
 
 
 def verify_congruence(
@@ -216,12 +216,11 @@ def verify_congruence(
                 raise UsageError(
                     "half-integral Hecke congruences are checked at odd primes"
                 )
-            k = _HALF_INTEGRAL[form]
-            strength = power * (k - 1)
-            window = prec
-            g = named_plus_form(form, window * p * p).series
+            f = named_plus_form(form, prec * p * p)
+            strength = power * (f.k - 1)
+            g = f.series
             for step in range(1, n + 1):
-                g = t_p2_series(g, k, p)
+                g = t_p2_series(g, f.k, p)
                 bad = _val_ge(g, p, strength * step)
                 report.add(
                     f"{form}|T_{p * p}^{step} divisible by {p}^{strength * step} "
@@ -269,7 +268,8 @@ def _family_element(m: int, j: int) -> QuasiElement:
     )
 
 
-def _check_raising_relations(report: VerificationReport, prec: int = 100) -> None:
+def _check_raising_relations(report: VerificationReport) -> None:
+    prec = 100
     th = PlusForm(0, theta(prec))
     g0 = named_plus_form("g0", prec)
     lhs = raising(th).series * (-6)
@@ -303,7 +303,8 @@ def _check_raising_relations(report: VerificationReport, prec: int = 100) -> Non
         report.add(label, ok, "" if ok else "exact expansion refutes this coefficient")
 
 
-def _check_t4_recursions(report: VerificationReport, coeffs: int = 100) -> None:
+def _check_t4_recursions(report: VerificationReport) -> None:
+    coeffs = 100
     basis = plus_basis(2, [3, 4, 12, 16, 48, 64], 4 * coeffs)  # T4' reads a(4n)
     for base in (3, 4):
         g = [basis[base], basis[4 * base], basis[16 * base]]

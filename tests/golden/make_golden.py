@@ -164,7 +164,7 @@ def cases():
     yield "psi|basis:k=3,m=1|300", lambda: psi(plus_basis(3, [1], 300)[1]).to_json()
     for k in (2, 3):
         yield f"phi|Delta|40|k={k}", lambda k=k: phi(discriminant(40), k).to_json()
-    yield "phi|Delta|40|k=3|out_prec=200", lambda: phi(discriminant(40), 3, 200).to_json()
+    yield "phi|Delta|40|k=3|out_prec=200", lambda: phi(discriminant(40), 3).truncate(200).to_json()
 
 
 def digest(thunk) -> str:

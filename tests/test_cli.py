@@ -8,8 +8,11 @@ from fractions import Fraction
 import pytest
 
 from magforms.cache import SeriesCache
+from magforms.cli import main
 from magforms.exprs import ParseError, _eval, evaluate, normalize, parse_expression
 from magforms.forms import eisenstein, named_form
+from magforms.halfint import named_plus_form
+from magforms.lifts import phi
 from magforms.series import DomainError, QSeries, UsageError
 
 
@@ -94,7 +97,7 @@ def test_evaluate_shortfall_at_window_zero():
 
 
 def test_parse_errors():
-    for bad in ("E4 +", "nope", "f(1,2)", "delta(", "q q"):
+    for bad in ("E4 +", "nope", "f(1,2)", "delta(", "q q", "delta(E4, 7)"):
         with pytest.raises(ParseError):
             parse_expression(bad)
 
@@ -171,6 +174,36 @@ def test_cli_expand_f6half_below_its_normalising_coefficient():
 def test_cli_parse_error_exit_code():
     proc = run_cli("expand", "E4 +", "--no-cache")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("expand", "(" * 200 + "q" + ")" * 200, "--prec", "5"),
+        ("expand", "+".join(["q"] * 5000), "--prec", "5"),
+        ("reduce", "(" * 1200 + "f(0,1,0)" + ")" * 1200),
+        ("reduce", "+".join(["f(0,1,0)"] * 5000)),
+        ("congruence", "(" * 1200 + "Delta" + ")" * 1200, "--prec", "20"),
+        ("expand", "delta(E4, 7)", "--prec", "5"),
+    ],
+    ids=["nested200", "sum5000", "reduce_nested1200", "reduce_sum5000", "congruence_nested1200",
+         "delta_arg"],
+)
+def test_cli_deep_long_or_malformed_expression_exit_code(args):
+    # the parser recurses per nesting level and evaluation per operation: too
+    # many of either is a usage error, reported on one line without a traceback
+    proc = run_cli(*args, "--no-cache")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_unlift_resolves_a_plus_form_name_before_a_file(tmp_path, monkeypatch, capsys):
+    # a file in the working directory named like a plus form is not read, as in lift
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f4a").write_text(named_form("Delta", 10).to_json())
+    assert main(["unlift", "f4a", "--k", "2", "--prec", "10"]) == 0
+    assert capsys.readouterr().out == phi(named_plus_form("f4a", 10).series, 2).to_json() + "\n"
 
 
 def test_cli_verify_th1_small():

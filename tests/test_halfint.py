@@ -273,6 +273,25 @@ def test_basis_seeds_from_one_pool_size(k):
         assert f.integrality_check().ok
 
 
+def test_pool_seeds_are_solved_once_per_k_and_m(monkeypatch):
+    # the solve reads a window fixed by k, so widening a seed reuses it; past
+    # the widest-window memo every call below builds its window afresh
+    solve, calls = halfint._solve_particular, []
+    monkeypatch.setattr(halfint, "_POOL_SOLUTIONS", {})
+    monkeypatch.setattr(halfint, "_solve_particular", lambda *a: calls.append(a) or solve(*a))
+    build = halfint._element.__wrapped__
+    for k, m in ((3, 1), (6, 3)):
+        widest = build(k, m, 60)
+        for prec in (40, 41):
+            assert build(k, m, prec) == widest.truncate(prec)
+    assert len(calls) == 2
+    # at k = 1 the seed 1 + O(q) does not exist: the failure is not kept
+    for _ in range(2):
+        with pytest.raises(BasisError):
+            halfint._pool_seed(1, 0, 10)
+    assert len(calls) == 4 and (1, 0) not in halfint._POOL_SOLUTIONS
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_theta_sums_equal_the_plain_products(data):
