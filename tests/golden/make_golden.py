@@ -4,7 +4,9 @@ The golden set pins the exact bytes that refactors of the working-precision,
 representation and memo layers must keep: ``exprs.evaluate`` on every named
 form, a few Laurent expressions and plus-space basis elements at windows
 0-3, 7 and 40 (trimmed and untrimmed), ``plus_basis`` with its
-``pool_s_max`` for k = 0..7 and for the weight-5/2 orders 7..23 at q^900, eight verification reports without their ``timing`` block,
+``pool_s_max`` for k = 0..7 and for the weight-1/2 and 5/2 orders through 23
+at q^900, the weight-1/2 and 5/2 named forms at q^900, eight verification
+reports without their ``timing`` block,
 the reduction certificate of every w4/w6 sweep element, ``parse_element`` on
 the README element, and a few ``psi``/``phi`` lifts.
 A case that raises records the exception class instead of a digest.
@@ -49,8 +51,14 @@ LAURENT = ("q", "1/Delta", "1/Delta^3", "q^-1", "j^2", "1/(E4-1)", "dilate(j,4)*
 # polynomials to multiply, so its basis cases record the BasisError, at one window
 BASIS = ((0, 4), (1, 1), (2, 4), (3, 1), (3, 5))
 BASIS_MAX_M = 8
-# the weight-5/2 orders of lift-table rows 1-3, 7 and 11-13 (no T4') at q^900
-DEEP_BASIS = (2, (7, 8, 11, 15, 19, 20, 23), 900)
+# (k, orders, window): the weight-5/2 orders of lift-table rows 1-3, 7 and
+# 11-13 (no T4'), and every weight-1/2 order through 23, at q^900
+DEEP_BASES = (
+    (2, (7, 8, 11, 15, 19, 20, 23), 900),
+    (0, tuple(m for m in range(24) if admissible(0, -m)), 900),
+)
+# the weight-1/2 and 5/2 named forms at q^900
+DEEP_NAMES = (("g0", "g1", "g2", "h0", "f4a", "f4b"), 900)
 
 
 def _orders(k: int) -> list[int]:
@@ -125,11 +133,17 @@ def cases():
     for k in range(8):
         for prec in _windows(k):
             yield f"plus_basis|k={k}|{prec}", lambda k=k, prec=prec: _plus_basis(k, prec)
-    k, orders, prec = DEEP_BASIS
-    yield (
-        f"plus_basis|k={k}|m={','.join(map(str, orders))}|{prec}",
-        lambda k=k, prec=prec, orders=orders: _plus_basis(k, prec, orders),
-    )
+    for k, orders, prec in DEEP_BASES:
+        yield (
+            f"plus_basis|k={k}|m={','.join(map(str, orders))}|{prec}",
+            lambda k=k, prec=prec, orders=orders: _plus_basis(k, prec, orders),
+        )
+    names, prec = DEEP_NAMES
+    for name in names:
+        yield (
+            f"named_plus_form|{name}|{prec}",
+            lambda name=name, prec=prec: named_plus_form(name, prec).series.to_json(),
+        )
     for which in ("th1", "th2"):
         yield f"verify_theorem|{which}|150", lambda w=which: _report(verify_theorem(w, 150))
     for which in ("w4", "w6"):
