@@ -1,5 +1,5 @@
-"""Layer benchmark for magforms: the series kernel, combination, inversion and
-named forms.
+"""Layer benchmark for magforms: the series kernel, combination, inversion,
+named forms and plus-space bases.
 
     python3 benchmarks/layers.py --src SRC --side before|after --out BENCH.json
 
@@ -66,12 +66,16 @@ CASES = {
     "named_form.Triple8.500": ("named_form", {"name": "Triple8", "N": 500}),
     # the basis behind perfbench plus_space's slowest request, lift-table
     # row 4 (T4' of the element q^-3 + O(q), with q^-4 beside it, at q^3600)
-    "plus_basis.k2_m3_m4_3600": ("plus_basis", {"m_list": [3, 4], "prec": 3600}),
+    "plus_basis.k2_m3_m4_3600": ("plus_basis", {"k": 2, "m_list": [3, 4], "prec": 3600}),
     # the bases of `magforms table1 --extended --rows 6,8,9,10`, which asks
     # for orders 43, 67, 163 at q^3600 (the same elements as 163 alone) and 7
     # at q^14400
-    "plus_basis.m163_3600": ("plus_basis", {"m_list": [163], "prec": 3600}),
-    "plus_basis.m7_14400": ("plus_basis", {"m_list": [7], "prec": 14400}),
+    "plus_basis.m163_3600": ("plus_basis", {"k": 2, "m_list": [163], "prec": 3600}),
+    "plus_basis.m7_14400": ("plus_basis", {"k": 2, "m_list": [7], "prec": 14400}),
+    # weight 1/2: the two seeds theta and h0 (m = 0 comes with every basis) and a
+    # j(4tau)-polynomial of degree 5, then h0 alone, at q^3600
+    "plus_basis.k0_m3_m4_m23_3600": ("plus_basis", {"k": 0, "m_list": [3, 4, 23], "prec": 3600}),
+    "named_plus_form.h0_3600": ("named_plus_form", {"name": "h0", "N": 3600}),
 }
 
 
@@ -111,6 +115,10 @@ def run_case(kind: str, params: dict) -> dict:
         t0 = time.perf_counter()
         forms.named_form(params["name"], params["N"])
         return {"s": time.perf_counter() - t0}
+    if kind == "named_plus_form":
+        t0 = time.perf_counter()
+        halfint.named_plus_form(params["name"], params["N"])
+        return {"s": time.perf_counter() - t0}
     if kind == "plus_basis":
         kernel = series._conv_int
         spent = [0.0, 0]  # seconds in outermost kernel calls, nesting depth
@@ -127,7 +135,7 @@ def run_case(kind: str, params: dict) -> dict:
 
         series._conv_int = timed_kernel
         t0 = time.perf_counter()
-        halfint.plus_basis(2, params["m_list"], params["prec"])
+        halfint.plus_basis(params["k"], params["m_list"], params["prec"])
         return {"s": time.perf_counter() - t0, "conv_int_s": spent[0]}
     raise ValueError(f"unknown case kind {kind!r}")
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .series import QSeries, UsageError
+from .series import QSeries, UsageError, linear_combine
 from .forms import FormName, named_form, quasi_monomial
 from .halfint import PLUS_FORM_NAMES, named_plus_form, plus_basis
 
@@ -96,26 +96,21 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                node = (val, node, rhs)
-            else:
-                return node
+        return self._run(self.term, "+-", "sum")
 
     def term(self):
-        node = self.unary()
+        return self._run(self.unary, "*/", "product")
+
+    def _run(self, operand, ops: str, kind: str):
+        """operand (op operand)* as the operand alone, or as one node
+        (kind, first, ((op, operand), ...)) that evaluates left to right."""
+        first, rest = operand(), []
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                node = (val, node, rhs)
-            else:
-                return node
+            tok, val, _ = self.peek()
+            if tok != "op" or val not in ops:
+                return (kind, first, tuple(rest)) if rest else first
+            self.next()
+            rest.append((val, operand()))
 
     def unary(self):
         kind, val, _ = self.peek()
@@ -202,14 +197,14 @@ def _eval(node, work: int) -> QSeries:
         return plus_basis(k, [m], work)[m].series
     if op == "neg":
         return -_eval(node[1], work)
-    if op == "+":
-        return _eval(node[1], work) + _eval(node[2], work)
-    if op == "-":
-        return _eval(node[1], work) - _eval(node[2], work)
-    if op == "*":
-        return _eval(node[1], work) * _eval(node[2], work)
-    if op == "/":
-        return _eval(node[1], work) / _eval(node[2], work)
+    if op == "sum":
+        terms = [(1, node[1])] + [(1 if o == "+" else -1, t) for o, t in node[2]]
+        return linear_combine([(sign, _eval(t, work)) for sign, t in terms])
+    if op == "product":
+        out = _eval(node[1], work)
+        for o, factor in node[2]:
+            out = out * _eval(factor, work) if o == "*" else out / _eval(factor, work)
+        return out
     if op == "pow":
         return _eval(node[1], work) ** node[2]
     if op == "delta":
@@ -233,14 +228,14 @@ def _trim_trailing_zeros(f: QSeries) -> QSeries:
 
 def evaluate(text: str, prec: int, trim: bool = False) -> QSeries:
     """Evaluate an expression through q^prec (PrecisionError when out of reach)."""
-    try:  # the parser recurses per level of nesting, _eval per operation
+    try:  # the parser and _eval recurse per level of nesting
         ast = parse_expression(text)
         out = _eval(ast, prec)
         if out.prec < prec:
             # widen by the shortfall; the q leaf works through at least q^1
             out = _eval(ast, max(prec, 1) + prec - out.prec)
     except RecursionError:
-        raise ParseError("expression nested too deeply or too long") from None
+        raise ParseError("expression nested too deeply") from None
     result = out.truncate(prec)
     return _trim_trailing_zeros(result) if trim else result
 

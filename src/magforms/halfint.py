@@ -9,17 +9,20 @@ provides:
 * the operators U_p, V_p, chi_p, T_{p^2} (half-integral weight), the
   integral-weight operator family, the plus projection and T_4' = K+ o T_4;
 * the raising operator sending weight k+1/2 to k+5/2;
-* the canonical basis elements q^{-m} + O(q), memoised at their widest window:
-  seeds m < 4 by exact linear algebra over a theta/E_{2,4}/Delta(4tau) pool, the
-  rest as polynomials in j(4tau) times the seeds, and at weight 5/2 all of them
-  as theta X(4tau) - 6 (delta theta) A(4tau), with X and A of level 1;
-* the named weight-1/2 and 5/2 forms used throughout the verification suite.
+* the canonical basis elements q^{-m} + O(q), memoised at their widest window,
+  as polynomials in j(4tau) times the seeds m < 4: at weights 1/2 and 5/2 every
+  element is theta X(4tau) - 6 (delta theta) A(4tau), with X and A of level 1,
+  and from weight 7/2 on the seeds come from exact linear algebra over a
+  theta/E_{2,4}/Delta(4tau) pool;
+* the named weight-1/2 and 5/2 forms used throughout the verification suite,
+  as such polynomials in the seeds, and f6half of weight 7/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import isqrt, lcm
 from typing import Sequence
 
@@ -326,32 +329,25 @@ def _admissible_pole_orders(k: int, max_m: int) -> list[int]:
     return [m for m in range(max_m + 1) if admissible(k, -m)]
 
 
-# Weight 5/2 forms theta X(4tau) - 6 (delta theta) A(4tau) as {"g0": A, "g1": B}, with
-# X = E2 A(j) + (E4^2 E6/Delta) B(j): g0 = theta E2(4tau) - 6 delta theta, g1 =
-# theta (E4^2 E6/Delta)(4tau), g2 = g0 j(4tau) and the seed f3 = 56 g0 + (g1 - g2)/12
-_G_ROWS = {
-    "g0": {"g0": [1]},
-    "g1": {"g1": [1]},
-    "g2": {"g0": [0, 1]},
-    "f3": {"g0": [56, Fraction(-1, 12)], "g1": [Fraction(1, 12)]},
-    "f4a": {"g0": [Fraction(7, 8), Fraction(-1, 768)], "g1": [Fraction(1, 768)]},
-    "f4b": {"g0": [Fraction(19, 18), Fraction(-1, 648)], "g1": [Fraction(-5, 648)]},
-}
-
-# k -> {m: {generator: ascending coefficients of a polynomial in j}}, grown on demand
+# k -> {m: {seed r: ascending coefficients of P_r}}, f_m = sum_r P_r(j(4tau)) f_r, grown on demand
 _J_POLYS: dict[int, dict] = {}
 
 
+def _poly_sum(*polys) -> list:
+    """The sum of ascending coefficient lists, with no zero top coefficient."""
+    out = [sum(cs) for cs in zip_longest(*polys, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _j_polys(k: int, m: int) -> dict:
-    """{g: P} with f_m = sum_g P(j(4tau)) g over the seeds g = f_r, r < 4, or
-    over g0 and g1 at weight 5/2.  For m = 4i + r, f_m is j(4tau)^i f_r minus
-    c_n f_n for each n < m, c_n its coefficient at q^-n (f_r through q^(4i)
-    gives them).  The leads q^(-4i-r) differ, so this is the only such sum with
-    principal part q^-m: f_(m-4) j(4tau) corrected by lower elements is the same."""
-    rows = {
-        r: _G_ROWS["f3" if r else "g0"] if k == 2 else {r: [1]}
-        for r in _admissible_pole_orders(k, 3)
-    }
+    """{r: P_r} with f_m = sum_r P_r(j(4tau)) f_r over the seeds f_r, r < 4.  For
+    m = 4i + r, f_m is j(4tau)^i f_r minus c_n f_n for each n < m, c_n its
+    coefficient at q^-n (f_r through q^(4i) gives them).  The leads q^(-4i-r)
+    differ, so this is the only such sum with principal part q^-m: f_(m-4) j(4tau)
+    corrected by lower elements is the same."""
+    rows = {r: {r: [1]} for r in _admissible_pole_orders(k, 3)}
     table = _J_POLYS.setdefault(k, dict(rows))
     if m in table:
         return table[m]
@@ -360,19 +356,13 @@ def _j_polys(k: int, m: int) -> dict:
         if n in table:
             continue
         i, r = divmod(n, 4)
-        polys = {g: [0] * i + p for g, p in rows[r].items()}
+        polys = {r: [0] * i + [1]}
         # (j^i)(4tau) through q^4 times f_r through q^(4i) reaches q^0
         part = ((_j(i) ** i).substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
         for n2, lower in list(table.items()):
             c = part._get(-n2)
             for g, p in lower.items() if c else ():
-                q = polys.setdefault(g, [])
-                q += [0] * (len(p) - len(q))
-                for t, x in enumerate(p):
-                    q[t] -= c * x
-        for p in polys.values():  # no zero top coefficient: len(P) - 1 is the degree
-            while p and not p[-1]:
-                p.pop()
+                polys[g] = _poly_sum(polys.get(g, []), [-c * x for x in p])
         table[n] = polys
     return table[m]
 
@@ -392,24 +382,37 @@ def _theta_sums(x: QSeries, a: QSeries, prec: int) -> QSeries:
     return QSeries._of(4 * lo, out, den)
 
 
-def _theta_form(row: dict, prec: int) -> QSeries:
-    """The weight-5/2 form {"g0": A, "g1": B} on [-4d, prec], d = max(deg A, deg B + 1).
-    As delta j = -E4^2 E6/Delta, X = E2 A(j) - delta C(j) with C' = B."""
-    a, b = row.get("g0") or [0], row.get("g1", [])  # g1 has A = 0
-    d = max(len(a) - 1, len(b))
+def _theta_form(k: int, row: dict, prec: int) -> QSeries:
+    """P_0(j(4tau)) f_0 + P_3(j(4tau)) f_3 of weight 1/2 or 5/2, row = {0: P_0, 3: P_3},
+    as theta (Y + E2 A)(4tau) - 6 (delta theta) A(4tau) on [-4d, prec], d the top
+    degree in j, with Y and A of level 1.  At k = 0, f_0 = theta and f_3 = h0:
+    Y = P_0 + P_3 (j - 1056)/12, A = -P_3 E4 E6/(12 Delta).  At k = 2, f_0 = g0 and
+    f_3 = 56 g0 + (g1 - j g0)/12 with g1 = theta (-delta j)(4tau): A = P_0 +
+    P_3 (56 - j/12), Y = -delta C(j)/12 with C' = P_3, so only j needs an inverse."""
+    p, r = row.get(0, []), row.get(3, [])
     w = prec // 4
-    j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w
-    av = poly_in_j(a, j)
-    c = poly_in_j([0] + [Fraction(x) / (i + 1) for i, x in enumerate(b)], j)
-    return _theta_sums(eisenstein(2, w + d) * av - c.delta(), av, prec)
+    if k == 0:
+        y = _poly_sum(p, [-88 * x for x in r], [0] + [Fraction(x, 12) for x in r])
+        d = max(len(y), len(r) + 1) - 1
+        j = _j(w + d)  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
+        a = poly_in_j(r, j) * quasi_monomial(0, 1, 1, w + d - 1, -1) / -12 if r else QSeries.zero(w)
+        y = poly_in_j(y, j)
+    else:
+        ap = _poly_sum(p, [56 * x for x in r], [0] + [Fraction(-x, 12) for x in r]) or [0]
+        c = [0] + [Fraction(x, i + 1) for i, x in enumerate(r)]
+        d = max(len(ap), len(c)) - 1
+        j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w
+        a = poly_in_j(ap, j)
+        y = poly_in_j(c, j).delta() * Fraction(-1, 12)
+    return _theta_sums(eisenstein(2, w + d) * a + y, a, prec)
 
 
 @widest_window
 def _element(k: int, m: int, prec: int) -> QSeries:
-    """The basis element q^-m + O(q) through q^prec: a pool seed for m < 4 and
-    k != 2, else sum_g P(j(4tau)) g, in theta form at k = 2."""
-    if k == 2:
-        series = _theta_form(_j_polys(k, m), prec)
+    """The basis element q^-m + O(q) through q^prec: sum_r P_r(j(4tau)) f_r over
+    the seeds, in theta form at k = 0 and 2; at k >= 3 the seeds are pool solves."""
+    if k in (0, 2):
+        series = _theta_form(k, _j_polys(k, m), prec)
     elif m < 4:
         series = _pool_seed(k, m, prec)
     else:
@@ -448,7 +451,7 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
         raise PrecisionError("the seed 1 + O(q) needs a window through q^0")
     # the highest order first, so one extension of the j-polynomial table serves all
     elements = {m: _element(k, m, prec) for m in sorted(m_list, reverse=True)}
-    # weight 5/2 takes its seeds from g0 and f3, not from the pool
+    # reported as before the theta forms: 0 at k = 2, the pool size at every other k
     pool_s_max = 0 if k == 2 else _SEED_S_MAX
     return PlusBasis(k, {m: PlusForm(k, elements[m]) for m in m_list}, pool_s_max)
 
@@ -465,39 +468,30 @@ def at_4tau(build, prec: int) -> QSeries:
     return build(-(-prec // 4)).substitute_power(4)
 
 
-def _h0_series(prec: int) -> QSeries:
-    """f theta (theta^4 - 2f)(theta^4 - 16f) (E6/Delta)(4tau) + 56 theta, f = E_{2,4}."""
-    work = prec + 4  # (E6/Delta)(4tau), of valuation -4, costs the other factors 4
-    th, f = theta(work), e24(work)
-    m4 = at_4tau(lambda p: quasi_monomial(0, 0, 1, p, -1), prec)
-    main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * m4
-    return (main + 56 * th).truncate(prec)
-
-
-def _f6half_series(prec: int) -> QSeries:
-    # built through q^3 at least, the window the exact scale is read on
-    f1 = plus_basis(3, [1], max(prec, 3))[1].series
-    return (f1 * f6half_scale()).truncate(prec)
-
-
-# name -> (k, builder) for every name named_plus_form accepts
-_NAMED_BUILDERS = {
-    **{
-        name: (2, lambda prec, row=_G_ROWS[name]: _theta_form(row, prec))
-        for name in ("g0", "g1", "g2", "f4a", "f4b")
-    },
-    "h0": (0, _h0_series),
-    "f6half": (3, _f6half_series),
+# name -> (k, {seed r: P_r}) of the weight-1/2 and 5/2 forms sum_r P_r(j(4tau)) f_r
+_NAMED_ROWS = {
+    "g0": (2, {0: [1]}),
+    "g1": (2, {0: [-672, 1], 3: [12]}),
+    "g2": (2, {0: [0, 1]}),
+    "f4a": (2, {3: [Fraction(1, 64)]}),
+    "f4b": (2, {0: [Fraction(337, 54), Fraction(-1, 108)], 3: [Fraction(-5, 54)]}),
+    "h0": (0, {3: [1]}),
 }
-PLUS_FORM_NAMES = frozenset(_NAMED_BUILDERS)
+
+PLUS_FORM_NAMES = frozenset(_NAMED_ROWS) | {"f6half"}
 
 
 def named_plus_form(name: str, prec: int) -> PlusForm:
     """The named weight-1/2 and 5/2 forms, plus f6half of weight 7/2."""
-    if name not in _NAMED_BUILDERS:
+    if name == "f6half":  # built through q^3 at least, the window the exact scale is read on
+        f1 = plus_basis(3, [1], max(prec, 3))[1].series
+        return PlusForm(3, (f1 * f6half_scale()).truncate(prec))
+    if name not in _NAMED_ROWS:
         raise UsageError(f"unknown plus form {name!r}")
-    k, builder = _NAMED_BUILDERS[name]
-    return PlusForm(k, builder(prec))
+    k, row = _NAMED_ROWS[name]
+    series = _theta_form(k, row, prec)
+    # h0's window starts at its lead q^-3 (or at q^prec below it), the others' at q^-4d
+    return PlusForm(k, series.restrict(min(-3, prec), prec) if name == "h0" else series)
 
 
 def f6half_scale() -> Fraction:

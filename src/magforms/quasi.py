@@ -154,23 +154,25 @@ def _value(node) -> Union[Fraction, QuasiElement]:
         return QuasiElement.single(*node[1:])
     if op == "neg":
         return -_value(node[1])
-    if op not in ("+", "-", "*", "/"):
+    if op not in ("sum", "product"):
         raise UsageError("an element is a rational combination of f(a,b,c) terms")
-    lhs, rhs = _value(node[1]), _value(node[2])
-    scalars = isinstance(lhs, Fraction) + isinstance(rhs, Fraction)
-    if op == "/":
-        if not isinstance(rhs, Fraction):
+    out = _value(node[1])
+    for o, operand in node[2]:
+        rhs = _value(operand)
+        scalars = isinstance(out, Fraction) + isinstance(rhs, Fraction)
+        if o == "/" and not isinstance(rhs, Fraction):
             raise UsageError("an element can only be divided by a number")
-        if rhs == 0:
+        if o == "/" and rhs == 0:
             raise UsageError("division by zero in element")
-        return lhs * (1 / rhs)
-    if op == "*":
-        if not scalars:
+        if o == "*" and not scalars:
             raise UsageError("a product of f(a,b,c) terms is not an element")
-        return lhs * rhs
-    if scalars == 1:
-        raise UsageError("a number cannot be added to an f(a,b,c) term")
-    return lhs + rhs if op == "+" else lhs - rhs
+        if o in "+-" and scalars == 1:
+            raise UsageError("a number cannot be added to an f(a,b,c) term")
+        if o in "*/":
+            out = out * (rhs if o == "*" else 1 / rhs)
+        else:
+            out = out + rhs if o == "+" else out - rhs
+    return out
 
 
 def parse_element(text: str) -> QuasiElement:
@@ -179,10 +181,10 @@ def parse_element(text: str) -> QuasiElement:
     The text is read with the expression grammar of :mod:`magforms.exprs`
     and must be a rational combination of f(a,b,c) terms, or 0.
     """
-    try:  # the parser recurses per level of nesting, _value per operation
+    try:  # the parser and _value recurse per level of nesting
         value = _value(parse_expression(text))
     except RecursionError:
-        raise UsageError("element nested too deeply or too long") from None
+        raise UsageError("element nested too deeply") from None
     if isinstance(value, Fraction):
         if value:
             raise UsageError("an element needs f(a,b,c) terms")

@@ -177,25 +177,32 @@ def test_cli_parse_error_exit_code():
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, code",
     [
-        ("expand", "(" * 200 + "q" + ")" * 200, "--prec", "5"),
-        ("expand", "+".join(["q"] * 5000), "--prec", "5"),
-        ("reduce", "(" * 1200 + "f(0,1,0)" + ")" * 1200),
-        ("reduce", "+".join(["f(0,1,0)"] * 5000)),
-        ("congruence", "(" * 1200 + "Delta" + ")" * 1200, "--prec", "20"),
-        ("expand", "delta(E4, 7)", "--prec", "5"),
+        (("expand", "(" * 200 + "q" + ")" * 200, "--prec", "5"), 2),
+        (("expand", "+".join(["q"] * 5000), "--prec", "5"), 0),
+        (("reduce", "(" * 1200 + "f(0,1,0)" + ")" * 1200), 2),
+        (("reduce", "+".join(["f(0,1,0)"] * 5000)), 0),
+        (("congruence", "(" * 1200 + "Delta" + ")" * 1200, "--prec", "20"), 2),
+        (("expand", "delta(E4, 7)", "--prec", "5"), 2),
     ],
     ids=["nested200", "sum5000", "reduce_nested1200", "reduce_sum5000", "congruence_nested1200",
          "delta_arg"],
 )
-def test_cli_deep_long_or_malformed_expression_exit_code(args):
-    # the parser recurses per nesting level and evaluation per operation: too
-    # many of either is a usage error, reported on one line without a traceback
+def test_cli_deep_long_or_malformed_expression_exit_code(args, code):
+    # the parser and evaluation recurse per nesting level: too deep a nesting is a
+    # usage error, reported on one line without a traceback, as is a malformed
+    # call; a run of + and - is one node, so a sum of any length evaluates
     proc = run_cli(*args, "--no-cache")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    if code:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    elif args[0] == "expand":
+        assert json.loads(proc.stdout) == {"lead": 1, "prec": 5, "coeffs": ["5000", "0", "0", "0", "0"]}
+    else:
+        out = json.loads(proc.stdout)
+        assert out["input"] == "5000*f(0,1,0)" and out["verified"] is True
 
 
 def test_cli_unlift_resolves_a_plus_form_name_before_a_file(tmp_path, monkeypatch, capsys):

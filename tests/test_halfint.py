@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magforms import halfint
-from magforms.forms import discriminant, eisenstein, j_invariant, quasi_monomial, theta
+from magforms.forms import discriminant, e24, eisenstein, j_invariant, quasi_monomial, theta
 from magforms.halfint import (
     BasisError,
     PlusForm,
@@ -30,7 +30,7 @@ from magforms.halfint import (
     v_p,
     f6half_scale,
 )
-from magforms.series import PrecisionError, QSeries, UsageError, linear_combine
+from magforms.series import PrecisionError, QSeries, UsageError, linear_combine, widest_window
 
 
 def rand_series(rng, lead, prec):
@@ -261,8 +261,8 @@ def test_basis_rejects_inadmissible():
 
 @pytest.mark.parametrize("k", [0, 2, 3, 4, 5, 6, 7])
 def test_basis_seeds_from_one_pool_size(k):
-    # every seed q^-m + O(q), m <= 3, solves on the pool with 1/Delta(4tau)^s
-    # for s <= 3; weight 5/2 (k = 2) takes its seeds from g0 and f3 instead
+    # pool_s_max reports 3, the pool's 1/Delta(4tau)^s for s <= 3, at every k but 2;
+    # the seeds q^-m + O(q), m <= 3, are theta forms at k = 0 and 2, pool solves above
     orders = [m for m in range(4) if admissible(k, -m)]
     basis = plus_basis(k, orders, 40)
     assert basis.pool_s_max == (0 if k == 2 else 3)
@@ -290,6 +290,37 @@ def test_pool_seeds_are_solved_once_per_k_and_m(monkeypatch):
         with pytest.raises(BasisError):
             halfint._pool_seed(1, 0, 10)
     assert len(calls) == 4 and (1, 0) not in halfint._POOL_SOLUTIONS
+
+
+def _h0_product_formula(prec):
+    """f theta (theta^4 - 2f)(theta^4 - 16f) (E6/Delta)(4tau) + 56 theta, f = E_{2,4}."""
+    work = prec + 4  # (E6/Delta)(4tau), of valuation -4, costs the other factors 4
+    th, f = theta(work), e24(work)
+    m4 = at_4tau(lambda p: quasi_monomial(0, 0, 1, p, -1), prec)
+    main = f * th * (th**4 - 2 * f) * (th**4 - 16 * f) * m4
+    return (main + 56 * th).truncate(prec)
+
+
+@pytest.mark.parametrize("prec", [0, 1, 2, 3, 40, 901])
+def test_weight_half_theta_form_matches_the_pool_and_the_product_formula(prec):
+    # the k = 0 seeds theta and h0 in theta form equal their pool solves, and h0
+    # equals the level-4 product formula
+    for r in (0, 3):
+        pool = halfint._pool_seed(0, r, prec).restrict(-r, prec)
+        assert plus_basis(0, [r], prec)[r].series == pool
+    assert named_plus_form("h0", prec).series == _h0_product_formula(prec)
+
+
+def test_weight_half_basis_never_solves_on_the_pool(monkeypatch):
+    # past the memo of elements and j-polynomials, every k = 0 element is built afresh
+    def refuse(*args):
+        raise AssertionError(f"_pool_seed{args} called")
+
+    monkeypatch.setattr(halfint, "_pool_seed", refuse)
+    monkeypatch.setattr(halfint, "_J_POLYS", {})
+    monkeypatch.setattr(halfint, "_element", widest_window(halfint._element.__wrapped__))
+    basis = plus_basis(0, [0, 3, 4, 7, 23], 60)
+    assert basis[23].series.coefficient(-23) == 1 and basis[0].series == theta(60)
 
 
 @settings(max_examples=100, deadline=None)
