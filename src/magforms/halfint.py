@@ -356,14 +356,12 @@ def _j_polys(k: int, m: int) -> dict:
         if n in table:
             continue
         i, r = divmod(n, 4)
-        polys = {r: [0] * i + [1]}
         # (j^i)(4tau) through q^4 times f_r through q^(4i) reaches q^0
         part = ((_j(i) ** i).substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
-        for n2, lower in list(table.items()):
-            c = part._get(-n2)
-            for g, p in lower.items() if c else ():
-                polys[g] = _poly_sum(polys.get(g, []), [-c * x for x in p])
-        table[n] = polys
+        terms = [(-part._get(-n2), polys) for n2, polys in table.items()] + [(1, {r: [0] * i + [1]})]
+        table[n] = {
+            g: _poly_sum(*([c * x for x in ps.get(g, ())] for c, ps in terms if c)) for g in rows
+        }
     return table[m]
 
 
@@ -392,18 +390,18 @@ def _theta_form(k: int, row: dict, prec: int) -> QSeries:
     p, r = row.get(0, []), row.get(3, [])
     w = prec // 4
     if k == 0:
-        y = _poly_sum(p, [-88 * x for x in r], [0] + [Fraction(x, 12) for x in r])
-        d = max(len(y), len(r) + 1) - 1
+        yp = _poly_sum(p, [-88 * x for x in r], [0] + [Fraction(x, 12) for x in r])
+        d = max(len(yp), len(r) + 1) - 1
         j = _j(w + d)  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
         a = poly_in_j(r, j) * quasi_monomial(0, 1, 1, w + d - 1, -1) / -12 if r else QSeries.zero(w)
-        y = poly_in_j(y, j)
+        y = poly_in_j(yp, j)
     else:
         ap = _poly_sum(p, [56 * x for x in r], [0] + [Fraction(-x, 12) for x in r]) or [0]
         c = [0] + [Fraction(x, i + 1) for i, x in enumerate(r)]
         d = max(len(ap), len(c)) - 1
         j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w
         a = poly_in_j(ap, j)
-        y = poly_in_j(c, j).delta() * Fraction(-1, 12)
+        y = poly_in_j(c, j).delta() / -12
     return _theta_sums(eisenstein(2, w + d) * a + y, a, prec)
 
 
@@ -451,7 +449,7 @@ def plus_basis(k: int, m_list: Sequence[int], prec: int) -> PlusBasis:
         raise PrecisionError("the seed 1 + O(q) needs a window through q^0")
     # the highest order first, so one extension of the j-polynomial table serves all
     elements = {m: _element(k, m, prec) for m in sorted(m_list, reverse=True)}
-    # reported as before the theta forms: 0 at k = 2, the pool size at every other k
+    # pinned in the basis outputs: 0 at k = 2, else the pool size (k = 0 solves nothing on it)
     pool_s_max = 0 if k == 2 else _SEED_S_MAX
     return PlusBasis(k, {m: PlusForm(k, elements[m]) for m in m_list}, pool_s_max)
 
