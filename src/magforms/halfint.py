@@ -393,15 +393,18 @@ def _theta_form(k: int, row: dict, prec: int) -> QSeries:
         yp = _poly_sum(p, [-88 * x for x in r], [0] + [Fraction(x, 12) for x in r])
         d = max(len(yp), len(r) + 1) - 1
         j = _j(w + d)  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
-        a = poly_in_j(r, j) * quasi_monomial(0, 1, 1, w + d - 1, -1) / -12 if r else QSeries.zero(w)
+        if r:
+            a = poly_in_j([Fraction(x, -12) for x in r], j) * quasi_monomial(0, 1, 1, w + d - 1, -1)
+        else:
+            a = QSeries.zero(w)
         y = poly_in_j(yp, j)
     else:
         ap = _poly_sum(p, [56 * x for x in r], [0] + [Fraction(-x, 12) for x in r]) or [0]
-        c = [0] + [Fraction(x, i + 1) for i, x in enumerate(r)]
+        c = [0] + [Fraction(x, -12 * (i + 1)) for i, x in enumerate(r)]  # -C/12
         d = max(len(ap), len(c)) - 1
         j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w
         a = poly_in_j(ap, j)
-        y = poly_in_j(c, j).delta() / -12
+        y = poly_in_j(c, j).delta()
     return _theta_sums(eisenstein(2, w + d) * a + y, a, prec)
 
 
