@@ -3,11 +3,13 @@
 The golden set pins the exact bytes that refactors of the working-precision,
 representation and memo layers must keep: ``exprs.evaluate`` on every named
 form, a few Laurent expressions and plus-space basis elements at windows
-0-3, 7 and 40 (trimmed and untrimmed), ``plus_basis`` with its
+0-3, 7 and 40 (trimmed and untrimmed), quotients by powers of E4 and E6 at
+the same windows, ``plus_basis`` with its
 ``pool_s_max`` for k = 0..7 and for the weight-1/2 and 5/2 orders through 23
 at q^900, the weight-1/2 and 5/2 named forms at q^900, eight verification
 reports without their ``timing`` block,
-the reduction certificate of every w4/w6 sweep element, ``parse_element`` on
+the reduction certificate and the q^40 expansion of every w4/w6 sweep
+element, ``parse_element`` on
 the README element, and a few ``psi``/``phi`` lifts.
 A case that raises records the exception class instead of a digest.
 
@@ -31,7 +33,7 @@ from magforms.exprs import evaluate
 from magforms.forms import FormName, discriminant
 from magforms.halfint import admissible, named_plus_form, plus_basis
 from magforms.lifts import phi, psi
-from magforms.quasi import QuasiElement, parse_element, reduce_weight4, reduce_weight6
+from magforms.quasi import QuasiElement, expand, parse_element, reduce_weight4, reduce_weight6
 from magforms.verify import (
     _sweep,
     verify_congruence,
@@ -45,6 +47,15 @@ OUTPUTS = Path(__file__).with_name("outputs.json")
 WINDOWS = (0, 1, 2, 3, 7, 40)
 PLUS_NAMES = ("g0", "g1", "g2", "h0", "f4a", "f4b", "f6half")
 LAURENT = ("q", "1/Delta", "1/Delta^3", "q^-1", "j^2", "1/(E4-1)", "dilate(j,4)*Delta")
+# divisions by E4^k and E6^k, as in the sweeps and the E2^m delta(E_k)/E_k family
+QUOTIENTS = (
+    "E6^2/E4^2 - E4",
+    "E2*E4^2/E6 - E4",
+    "E2^5*delta(E4)/E4",
+    "E2^3*delta(E6)/E6",
+    "F4a/E4^3",
+    "f(2,-1,1) - f(0,1,0)",
+)
 # (k, m): per weight a pole order that needs a j(4tau) polynomial above the
 # pool seeds, and the seed k = 3, m = 1, whose pool leads sit above windows 0-2;
 # weight 3/2 (k = 1) has no seed 1 + O(q) or q^-1 + O(q) for the j(4tau)
@@ -71,7 +82,7 @@ def _windows(k: int | None) -> tuple[int, ...]:
 
 def _expressions():
     """(expression, plus-space weight parameter or None)."""
-    names = [f.value for f in FormName] + list(PLUS_NAMES) + list(LAURENT)
+    names = [f.value for f in FormName] + list(PLUS_NAMES) + list(LAURENT) + list(QUOTIENTS)
     return [(text, None) for text in names] + [
         (f"basis:k={k},m={m}", k) for k, m in BASIS
     ]
@@ -168,6 +179,7 @@ def cases():
                 f"reduce|w{weight}|f{exps}",
                 lambda r=reduce, e=elem: _certificate(r(e)),
             )
+            yield f"expand|w{weight}|f{exps}|40", lambda e=elem: expand(e, 40).to_json()
         yield (
             f"reduce|w{weight}|out_of_scope",
             lambda r=reduce, e=_OUT_OF_SCOPE[weight]: _certificate(r(e)),
