@@ -1,5 +1,5 @@
 """Layer benchmark for magforms: the series kernel, combination, inversion,
-named forms and plus-space bases.
+named forms, plus-space bases and quasi-modular sweeps.
 
     python3 benchmarks/layers.py --src SRC --side before|after --out BENCH.json
 
@@ -76,6 +76,9 @@ CASES = {
     # j(4tau)-polynomial of degree 5, then h0 alone, at q^3600
     "plus_basis.k0_m3_m4_m23_3600": ("plus_basis", {"k": 0, "m_list": [3, 4, 23], "prec": 3600}),
     "named_plus_form.h0_3600": ("named_plus_form", {"name": "h0", "N": 3600}),
+    # the shape of perfbench quasi_session's certificate and sweep requests:
+    # every w4/w6 sweep element f(a, b, c) - anchor expanded at q^150, then q^200
+    "quasi.sweep_expand_150_200": ("sweep_expand", {"precs": [150, 200]}),
 }
 
 
@@ -118,6 +121,15 @@ def run_case(kind: str, params: dict) -> dict:
     if kind == "named_plus_form":
         t0 = time.perf_counter()
         halfint.named_plus_form(params["name"], params["N"])
+        return {"s": time.perf_counter() - t0}
+    if kind == "sweep_expand":
+        from magforms import quasi, verify
+
+        elements = [elem for weight in (4, 6) for _, elem in verify._sweep(weight)]
+        t0 = time.perf_counter()
+        for prec in params["precs"]:
+            for elem in elements:
+                quasi.expand(elem, prec)
         return {"s": time.perf_counter() - t0}
     if kind == "plus_basis":
         kernel = series._conv_int

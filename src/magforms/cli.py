@@ -9,6 +9,7 @@ shortfall.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +33,7 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="magforms",

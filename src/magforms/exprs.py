@@ -203,7 +203,7 @@ def _eval(node, work: int) -> QSeries:
     if op == "product":
         out = _eval(node[1], work)
         for o, factor in node[2]:
-            out = out * _eval(factor, work) if o == "*" else out / _eval(factor, work)
+            out = out * (_eval(factor, work) if o == "*" else _reciprocal(factor, work))
         return out
     if op == "pow":
         return _eval(node[1], work) ** node[2]
@@ -217,6 +217,15 @@ def _eval(node, work: int) -> QSeries:
             raise UsageError("dilate needs a positive integer argument")
         return _eval(node[1], work).substitute_power(node[2])
     raise UsageError(f"unhandled node {op!r}")
+
+
+def _reciprocal(node, work: int) -> QSeries:
+    """1/node; E4^k and E6^k (k >= 1) are the kept monomial inverses, on the
+    window [0, work] of the inverse of their expansion."""
+    base, k = (node[1], node[2]) if node[0] == "pow" else (node, 1)
+    if base in (("form", "E4"), ("form", "E6")) and k >= 1:
+        return quasi_monomial(0, -k, 0, work) if base[1] == "E4" else quasi_monomial(0, 0, -k, work)
+    return _eval(node, work).inverse()
 
 
 def _trim_trailing_zeros(f: QSeries) -> QSeries:

@@ -122,25 +122,36 @@ def e24(prec: int) -> QSeries:
     return QSeries._of(0, [0] + [sig[n] if n % 2 else 0 for n in range(1, prec + 1)])
 
 
+def _level1(i: int, work: int) -> QSeries:
+    """E2, E4, E6 or Delta/q (i = 0, 1, 2, 3) through q^work."""
+    return discriminant(work + 1).shift(-1) if i == 3 else eisenstein(2 * i + 2, work)
+
+
+@widest_window
+def _inverse_part(b: int, c: int, s: int, work: int) -> QSeries:
+    """1/(E4^b E6^c (Delta/q)^s) through q^work (b, c, s >= 0, not all 0), one
+    Newton inverse per exponent triple: a power of a kept 1/E4 costs more than
+    the inverse of E4^b.  The product has valuation 0, so its inverse is exact
+    on [0, work]."""
+    return reduce(mul, [_level1(i, work) ** e for i, e in enumerate((0, b, c, s)) if e]).inverse()
+
+
 def quasi_monomial(a: int, b: int, c: int, prec: int, d: int = 0) -> QSeries:
     """The monomial E2^a E4^b E6^c Delta^d on the window [d, prec]: with
     Delta = q (Delta/q), q^d times a series of valuation 0 through q^(prec - d),
     so Delta^-s costs the other factors s exponents.  The positive powers are
-    multiplied first, while their coefficients are small, then the inverse of
-    the product of the negative ones."""
+    multiplied first, while their coefficients are small, then the kept inverse
+    of the product of the negative ones (:func:`_inverse_part`)."""
     if a < 0:
         raise UsageError("the E2 exponent must be nonnegative")
     if 0 <= prec < d:
         raise PrecisionError(f"the monomial starts at q^{d}, above q^{prec}")
     work = prec - d
-    factors = [(eisenstein(k, work), e) for k, e in ((2, a), (4, b), (6, c)) if e]
-    if d:
-        factors.append((discriminant(work + 1).shift(-1), d))
-    top = [f**e for f, e in factors if e > 0]
-    bottom = [f**-e for f, e in factors if e < 0]
-    if bottom:
-        top.append(reduce(mul, bottom).inverse())
-    return (reduce(mul, top) if top else QSeries.one(work)).shift(d).truncate(prec)
+    exponents = (a, b, c, d)
+    factors = [_level1(i, work) ** e for i, e in enumerate(exponents) if e > 0]
+    if min(exponents) < 0:
+        factors.append(_inverse_part(*(max(-e, 0) for e in exponents[1:]), work))
+    return (reduce(mul, factors) if factors else QSeries.one(work)).shift(d).truncate(prec)
 
 
 def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from magforms.exprs import evaluate
 from magforms.forms import (
     FormName,
     discriminant,
@@ -150,6 +151,31 @@ def test_quasi_monomial_window_is_exactly_d_to_prec(exponents, prec):
     f = quasi_monomial(a, b, c, prec, d)
     assert (f.lead, f.prec) == (d, prec)
     assert f.coefficient(d) == 1
+
+
+def _e(k, p):
+    return eisenstein(k, p)
+
+
+# expression -> the same quotient from plain series products and inverses,
+# evaluated left to right as the expression is
+QUOTIENT_REFERENCES = {
+    "E6^2/E4^2 - E4": lambda p: _e(6, p) ** 2 * (_e(4, p) ** 2).inverse() - _e(4, p),
+    "E2*E4^2/E6 - E4": lambda p: _e(2, p) * _e(4, p) ** 2 * _e(6, p).inverse() - _e(4, p),
+    "E2^5*delta(E4)/E4": lambda p: _e(2, p) ** 5 * _e(4, p).delta() * _e(4, p).inverse(),
+    "E2^3*delta(E6)/E6": lambda p: _e(2, p) ** 3 * _e(6, p).delta() * _e(6, p).inverse(),
+    "F4a/E4^3": lambda p: named_form("F4a", p) * (_e(4, p) ** 3).inverse(),
+    "f(2,-1,1) - f(0,1,0)": lambda p: _e(2, p) ** 2 * _e(6, p) * _e(4, p).inverse() - _e(4, p),
+    "E4/E6^2": lambda p: _e(4, p) * (_e(6, p) ** 2).inverse(),
+    "(E2*E6)/E4^4": lambda p: _e(2, p) * _e(6, p) * (_e(4, p) ** 4).inverse(),
+}
+
+
+@pytest.mark.parametrize("prec", (-1, 0, 1, 2, 3, 40, 201))
+@pytest.mark.parametrize("text", QUOTIENT_REFERENCES)
+def test_divisions_by_e4_and_e6_powers_equal_plain_inverses(text, prec):
+    # a division by E4^k or E6^k goes through the kept monomial inverse
+    assert _outcome(evaluate, text, prec) == _outcome(QUOTIENT_REFERENCES[text], prec)
 
 
 @pytest.mark.parametrize("degree", range(13))

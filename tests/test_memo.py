@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magforms import forms, halfint
+from magforms import forms, halfint, series
 from magforms.forms import FormName, j_invariant
 from magforms.halfint import named_plus_form, plus_basis
+from magforms.quasi import expand
 from magforms.series import QSeries, SeriesError, UsageError, widest_window
+from magforms.verify import _sweep
 
 # (memoised builder, key, windows); _element is only asked for windows >= 0,
 # which plus_basis guarantees
@@ -21,6 +23,10 @@ MEMOISED = (
     + [(b, (), (-2, 60)) for b in (forms.discriminant, forms._j, forms.theta, forms.e24)]
     + [(forms._quotient, (name,), (-2, 40)) for name in (FormName.F4A, FormName.F4B, FormName.F6)]
     + [(forms._quotient, (name,), (-2, 40)) for name in forms._J_FORM_DATA]
+    + [
+        (forms._inverse_part, key, (-2, 60))
+        for key in ((1, 0, 0), (3, 0, 0), (0, 2, 0), (2, 1, 0), (0, 0, 1), (0, 2, 1))
+    ]
     + [
         (halfint._element, key, (0, 24))
         for key in ((0, 0), (0, 3), (0, 4), (0, 8), (2, 3), (2, 4), (2, 7), (3, 1), (3, 5), (3, 8))
@@ -68,6 +74,34 @@ def test_j_at_window_zero_raises_after_a_wide_build():
     j_invariant(100)
     with pytest.raises(UsageError):
         j_invariant(0)
+
+
+def _count_inverses(monkeypatch) -> list:
+    """Empty the kept monomial inverses and j, and record each series.inv call."""
+    monkeypatch.setattr(forms, "_inverse_part", widest_window(forms._inverse_part.__wrapped__))
+    monkeypatch.setattr(forms, "_j", widest_window(forms._j.__wrapped__))
+    calls, inv = [], series.inv
+    monkeypatch.setattr(series, "inv", lambda f: calls.append(f) or inv(f))
+    return calls
+
+
+def test_each_sweep_denominator_is_inverted_once(monkeypatch):
+    calls = _count_inverses(monkeypatch)
+    elements = [elem for _, elem in _sweep(4)]
+    denominators = {
+        (max(-m.b, 0), max(-m.c, 0)) for elem in elements for m in elem.terms if min(m.b, m.c) < 0
+    }
+    for prec in (60, 40, 60):
+        for elem in elements:
+            expand(elem, prec)
+    assert len(calls) == len(denominators) > 1
+
+
+def test_h0_inverts_delta_once(monkeypatch):
+    # j = E4^3/Delta and E4 E6/Delta share the kept 1/(Delta/q)
+    calls = _count_inverses(monkeypatch)
+    named_plus_form("h0", 900)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("prec", [0, 1, 2])
