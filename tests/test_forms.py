@@ -153,9 +153,7 @@ def test_quasi_monomial_window_is_exactly_d_to_prec(exponents, prec):
     assert f.coefficient(d) == 1
 
 
-def _e(k, p):
-    return eisenstein(k, p)
-
+_e = eisenstein
 
 # expression -> the same quotient from plain series products and inverses,
 # evaluated left to right as the expression is
