@@ -8,6 +8,8 @@ the same windows, ``plus_basis`` with its
 ``pool_s_max`` for k = 0..7 and for the weight-1/2 and 5/2 orders through 23
 at q^900, the weight-1/2 and 5/2 named forms at q^900, eight verification
 reports without their ``timing`` block,
+the j-quotients LS8, Triple8 and the HK numerators at q^350 and the
+right-hand side of every lift-table row at q^60,
 the reduction certificate and the q^40 expansion of every w4/w6 sweep
 element, ``parse_element`` on
 the README element, and a few ``psi``/``phi`` lifts.
@@ -30,10 +32,11 @@ import json
 from pathlib import Path
 
 from magforms.exprs import evaluate
-from magforms.forms import FormName, discriminant
+from magforms.forms import FormName, discriminant, j_quotient, named_form
 from magforms.halfint import admissible, named_plus_form, plus_basis
 from magforms.lifts import phi, psi
 from magforms.quasi import QuasiElement, expand, parse_element, reduce_weight4, reduce_weight6
+from magforms.tables import LIFT_TABLE
 from magforms.verify import (
     _sweep,
     verify_congruence,
@@ -70,6 +73,10 @@ DEEP_BASES = (
 )
 # the weight-1/2 and 5/2 named forms at q^900
 DEEP_NAMES = (("g0", "g1", "g2", "h0", "f4a", "f4b"), 900)
+# the j-quotients E4^e num(j)/den(j)^p of the integrality checks, and the
+# right-hand sides of the lift table (the extended rows included)
+DEEP_QUOTIENTS = (("LS8", "Triple8", "HK_num1", "HK_num2"), 350)
+LIFT_RHS_PREC = 60
 
 
 def _orders(k: int) -> list[int]:
@@ -154,6 +161,18 @@ def cases():
         yield (
             f"named_plus_form|{name}|{prec}",
             lambda name=name, prec=prec: named_plus_form(name, prec).series.to_json(),
+        )
+    names, prec = DEEP_QUOTIENTS
+    for name in names:
+        yield (
+            f"named_form|{name}|{prec}",
+            lambda name=name, prec=prec: named_form(name, prec).to_json(),
+        )
+    for row in LIFT_TABLE:
+        args = (row.e4_power, row.numerator, row.denominator, row.denominator_power)
+        yield (
+            f"j_quotient|row{row.row_id}|{LIFT_RHS_PREC}",
+            lambda args=args: j_quotient(*args, LIFT_RHS_PREC).to_json(),
         )
     for which in ("th1", "th2"):
         yield f"verify_theorem|{which}|150", lambda w=which: _report(verify_theorem(w, 150))
