@@ -8,8 +8,10 @@ the requested prec.  Working precision follows one rule, read off the
 valuation rules in :mod:`magforms.series`: a constructor works at the
 requested window plus the exponents its factors lose, and the final
 ``truncate``, which refuses to extend a window, checks that the window was
-reached.  A monomial with Delta^-s loses s exponents; a j-quotient loses none,
-since inverting den(j)^p gains more exponents than num(j) costs.
+reached.  A monomial with Delta^-s loses s exponents.  A j-quotient
+E4^e num(j)/den(j)^p is built homogenised, as E4^e Delta^s N/D^p with N and D
+polynomials in E4^3 and Delta and s = p deg(den) - deg(num): D has valuation 0
+and Delta^s valuation s, so N and 1/D^p are needed through q^(prec - s) only.
 
 Every expansion is memoised at the widest window built so far
 (:func:`magforms.series.widest_window`); narrower windows are truncations.
@@ -88,16 +90,11 @@ def discriminant(prec: int) -> QSeries:
 
 def j_invariant(prec: int) -> QSeries:
     """j = E4^3 / Delta, with lead exponent -1."""
+    # the check stays outside the memo: j at q^0 would truncate the kept
+    # series, where j_invariant(0) raises
     if prec < 1:
         raise UsageError("prec must be >= 1 for j")
-    return _j(prec)
-
-
-# j_invariant keeps its prec check outside the memo: j(0) would truncate the
-# kept series, where j_invariant(0) raises
-@widest_window
-def _j(prec: int) -> QSeries:
-    return quasi_monomial(0, 3, 0, prec, -1)
+    return _monomial(0, 3, 0, -1, prec)
 
 
 @widest_window
@@ -146,6 +143,13 @@ def quasi_monomial(a: int, b: int, c: int, prec: int, d: int = 0) -> QSeries:
         raise UsageError("the E2 exponent must be nonnegative")
     if 0 <= prec < d:
         raise PrecisionError(f"the monomial starts at q^{d}, above q^{prec}")
+    return _monomial(a, b, c, d, prec)
+
+
+@widest_window
+def _monomial(a: int, b: int, c: int, d: int, prec: int) -> QSeries:
+    """:func:`quasi_monomial` without its argument checks, kept per exponent
+    tuple at its widest window (the entry (0, 3, 0, -1) is j)."""
     work = prec - d
     exponents = (a, b, c, d)
     factors = [_level1(i, work) ** e for i, e in enumerate(exponents) if e > 0]
@@ -168,12 +172,32 @@ def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:
     return acc + rest[0]
 
 
+def _homogenise(coeffs, work: int) -> QSeries:
+    """Delta^deg P(j) = sum c_i E4^(3i) Delta^(deg - i) through q^work, for
+    P = sum c_i j^i of degree deg; the terms with deg - i > work vanish there."""
+    deg = len(coeffs) - 1
+    terms = range(max(deg - work, 0), deg + 1)
+    return linear_combine([(coeffs[i], quasi_monomial(0, 3 * i, 0, work, deg - i)) for i in terms])
+
+
+@widest_window
+def _den_inverse(den: tuple, p: int, work: int) -> QSeries:
+    """1/(Delta^deg den(j))^p through q^work >= 0, kept per denominator: the
+    constant term is den's top coefficient, so the inverse is exact on [0, work]."""
+    return (_homogenise(den, work) ** p).inverse()
+
+
 def j_quotient(e4_power: int, num, den, den_power: int, prec: int) -> QSeries:
-    """E4^e4_power num(j) / den(j)^den_power through q^prec >= 1, for integer polynomials
-    num, den in j (ascending) with den_power deg(den) >= deg(num): no exponent is lost."""
-    j = j_invariant(prec)
-    out = quasi_monomial(0, e4_power, 0, prec) * poly_in_j(num, j)
-    return (out * (poly_in_j(den, j) ** den_power).inverse()).truncate(prec)
+    """E4^e4_power num(j) / den(j)^den_power through q^prec, for integer polynomials
+    num, den in j (ascending, den's top coefficient nonzero) with den_power deg(den)
+    >= deg(num), as E4^e4_power Delta^s N / D^den_power (module docstring)."""
+    s = den_power * (len(den) - 1) - (len(num) - 1)
+    if not num or not den or not den[-1] or s < 0:
+        raise UsageError("j_quotient: num empty, den's top coefficient 0, or p deg(den) < deg(num)")
+    if prec < s:
+        raise PrecisionError(f"the j-quotient starts at q^{s}, above q^{prec}")
+    out = quasi_monomial(0, e4_power, 0, prec, s) * _homogenise(num, prec - s)
+    return (out * _den_inverse(tuple(den), den_power, prec - s)).truncate(prec)
 
 
 # (E2, E4, E6, Delta) exponents of the named monomials

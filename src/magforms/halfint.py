@@ -34,7 +34,7 @@ from .series import (
     linear_combine,
     widest_window,
 )
-from .forms import _j, e24, eisenstein, poly_in_j, quasi_monomial, theta
+from .forms import _monomial, e24, eisenstein, poly_in_j, quasi_monomial, theta
 
 
 class PlusSpaceError(SeriesError):
@@ -357,7 +357,8 @@ def _j_polys(k: int, m: int) -> dict:
             continue
         i, r = divmod(n, 4)
         # (j^i)(4tau) through q^4 times f_r through q^(4i) reaches q^0
-        part = ((_j(i) ** i).substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
+        j_i = _monomial(0, 3, 0, -1, i) ** i
+        part = (j_i.substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
         terms = [(-part._get(-n2), polys) for n2, polys in table.items()] + [(1, {r: [0] * i + [1]})]
         table[n] = {
             g: _poly_sum(*([c * x for x in ps.get(g, ())] for c, ps in terms if c)) for g in rows
@@ -392,7 +393,7 @@ def _theta_form(k: int, row: dict, prec: int) -> QSeries:
     if k == 0:
         yp = _poly_sum(p, [-88 * x for x in r], [0] + [Fraction(x, 12) for x in r])
         d = max(len(yp), len(r) + 1) - 1
-        j = _j(w + d)  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
+        j = _monomial(0, 3, 0, -1, w + d)  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
         if r:
             a = poly_in_j([Fraction(x, -12) for x in r], j) * quasi_monomial(0, 1, 1, w + d - 1, -1)
         else:
@@ -402,7 +403,7 @@ def _theta_form(k: int, row: dict, prec: int) -> QSeries:
         ap = _poly_sum(p, [56 * x for x in r], [0] + [Fraction(-x, 12) for x in r]) or [0]
         c = [0] + [Fraction(x, -12 * (i + 1)) for i, x in enumerate(r)]  # -C/12
         d = max(len(ap), len(c)) - 1
-        j = _j(w + d)  # A(j), C(j) and E2 A(j) reach q^w
+        j = _monomial(0, 3, 0, -1, w + d)  # A(j), C(j) and E2 A(j) reach q^w
         a = poly_in_j(ap, j)
         y = poly_in_j(c, j).delta()
     return _theta_sums(eisenstein(2, w + d) * a + y, a, prec)
@@ -421,7 +422,7 @@ def _element(k: int, m: int, prec: int) -> QSeries:
         for r, p in _j_polys(k, m).items():
             d = len(p) - 1  # f_r has valuation -r and P(j(4tau)) -4d: each costs the other
             if d > 0:
-                pj = at_4tau(lambda w: poly_in_j(p, _j(w + d - 1)), prec + r)
+                pj = at_4tau(lambda w: poly_in_j(p, _monomial(0, 3, 0, -1, w + d - 1)), prec + r)
                 terms.append((1, _element(k, r, prec + 4 * d) * pj))
             elif p:
                 terms.append((p[0], _element(k, r, prec)))

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magforms.exprs import evaluate
 from magforms.forms import (
@@ -202,6 +204,53 @@ def test_j_quotient_matches_the_wide_j_construction(row):
     wide = (e4**row.e4_power * poly_in_j(row.numerator, j) * den.inverse()).truncate(prec)
     args = (row.e4_power, row.numerator, row.denominator, row.denominator_power)
     assert j_quotient(*args, prec) == wide
+
+
+def _j_form_quotient(e, num, den, p, prec):
+    """E4^e num(j)/den(j)^p by the j-form construction: Horner's rule in the
+    Laurent series j, then a fresh inverse of den(j)^p."""
+    j = j_invariant(prec)
+    out = quasi_monomial(0, e, 0, prec) * poly_in_j(num, j)
+    return (out * (poly_in_j(den, j) ** p).inverse()).truncate(prec)
+
+
+@st.composite
+def _quotient_args(draw):
+    """(e, num, den, p) with integer num and den, nonzero top coefficients and
+    p deg(den) >= deg(num)."""
+    coeff, top = st.integers(-(10**6), 10**6), st.integers(1, 10**6).map(lambda c: c * (-1) ** c)
+    p = draw(st.integers(1, 3))
+    den = draw(st.lists(coeff, max_size=3)) + [draw(top)]
+    num_degree = draw(st.integers(0, p * (len(den) - 1)))
+    num = draw(st.lists(coeff, min_size=num_degree, max_size=num_degree)) + [draw(top)]
+    return draw(st.integers(0, 2)), tuple(num), tuple(den), p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_quotient_args(), st.integers(1, 60))
+def test_homogenised_j_quotient_equals_the_j_form(args, prec):
+    # below its lead q^s each raises the same class
+    assert _outcome(j_quotient, *args, prec) == _outcome(_j_form_quotient, *args, prec)
+
+
+@pytest.mark.parametrize(
+    "num, den, p",
+    [
+        ((), (1, 1), 2),  # no numerator
+        ((1,), (1, 0), 1),  # den's top coefficient is 0
+        ((1, 2, 3), (5, 1), 1),  # p deg(den) < deg(num): a pole at the cusp
+    ],
+)
+def test_j_quotient_outside_its_domain_is_a_usage_error(num, den, p):
+    with pytest.raises(UsageError):
+        j_quotient(1, num, den, p, 40)
+
+
+def test_j_quotient_below_its_lead_is_a_precision_error():
+    # HK_num2 = E4/(j - 54000)^2 starts at q^2
+    with pytest.raises(PrecisionError):
+        j_quotient(1, (1,), (-54000, 1), 2, 1)
+    assert j_quotient(1, (1,), (-54000, 1), 2, 2) == QSeries(2, [1])
 
 
 def test_named_form_f4a():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magforms import forms, halfint, series
-from magforms.forms import FormName, j_invariant
+from magforms.forms import FormName, j_invariant, named_form
 from magforms.halfint import named_plus_form, plus_basis
 from magforms.quasi import expand
 from magforms.series import QSeries, SeriesError, UsageError, widest_window
@@ -20,12 +20,24 @@ from magforms.verify import _sweep
 # which plus_basis guarantees
 MEMOISED = (
     [(forms.eisenstein, (k,), (-2, 60)) for k in (2, 4, 6, 8)]
-    + [(b, (), (-2, 60)) for b in (forms.discriminant, forms._j, forms.theta, forms.e24)]
+    + [(b, (), (-2, 60)) for b in (forms.discriminant, forms.theta, forms.e24)]
     + [(forms._quotient, (name,), (-2, 40)) for name in (FormName.F4A, FormName.F4B, FormName.F6)]
     + [(forms._quotient, (name,), (-2, 40)) for name in forms._J_FORM_DATA]
     + [
         (forms._inverse_part, key, (-2, 60))
         for key in ((1, 0, 0), (3, 0, 0), (0, 2, 0), (2, 1, 0), (0, 0, 1), (0, 2, 1))
+    ]
+    # (0, 3, 0, -1) is j; E4^(3i) Delta^(deg - i) are the homogenised j-polynomials' terms
+    + [
+        (forms._monomial, key, (-2, 60))
+        for key in (
+            (0, 3, 0, -1), (0, -2, 0, 1), (1, -1, 1, 0), (2, 2, 0, -2), (0, 0, 0, -3), (0, 6, 0, 1)
+        )
+    ]
+    # the LS8, Triple8 and HK denominators (den, den_power)
+    + [
+        (forms._den_inverse, key, (-2, 60))
+        for key in dict.fromkeys((den, p) for _, _, den, p in forms._J_FORM_DATA.values())
     ]
     + [
         (halfint._element, key, (0, 24))
@@ -77,9 +89,10 @@ def test_j_at_window_zero_raises_after_a_wide_build():
 
 
 def _count_inverses(monkeypatch) -> list:
-    """Empty the kept monomial inverses and j, and record each series.inv call."""
-    monkeypatch.setattr(forms, "_inverse_part", widest_window(forms._inverse_part.__wrapped__))
-    monkeypatch.setattr(forms, "_j", widest_window(forms._j.__wrapped__))
+    """Empty the kept monomials, their inverse parts, the named quotients and the
+    kept j-quotient denominators, and record each series.inv call."""
+    for name in ("_inverse_part", "_monomial", "_quotient", "_den_inverse"):
+        monkeypatch.setattr(forms, name, widest_window(getattr(forms, name).__wrapped__))
     calls, inv = [], series.inv
     monkeypatch.setattr(series, "inv", lambda f: calls.append(f) or inv(f))
     return calls
@@ -101,6 +114,14 @@ def test_h0_inverts_delta_once(monkeypatch):
     # j = E4^3/Delta and E4 E6/Delta share the kept 1/(Delta/q)
     calls = _count_inverses(monkeypatch)
     named_plus_form("h0", 900)
+    assert len(calls) == 1
+
+
+def test_hk_numerators_share_one_denominator_inverse(monkeypatch):
+    # HK_num1 and HK_num2 divide by the same (j - 54000)^2, homogenised
+    calls = _count_inverses(monkeypatch)
+    named_form("HK_num1", 120)
+    named_form("HK_num2", 120)
     assert len(calls) == 1
 
 
