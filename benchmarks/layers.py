@@ -46,12 +46,14 @@ def geometric(rng: random.Random, n: int, step: int) -> list[int]:
 # name -> (kind, parameters).
 # Kernel cases are named a_b_n: "flat195" is 195-bit coefficients,
 # "geometric8" a_i of about 8(i+1) bits.  The two flat pairs pack about 10^5
-# and 10^6 bits per operand; the last pair is lopsided.
+# and 10^6 bits per operand; flat70_geometric16 is lopsided; the square case
+# passes one list twice, at an odd length, as pow_int and Newton's steps do.
 CASES = {
     "conv_int.flat195_flat195_n250": ("kernel", {"n": 250, "a": ("flat", 195), "b": ("flat", 195)}),
     "conv_int.flat495_flat495_n1000": ("kernel", {"n": 1000, "a": ("flat", 495), "b": ("flat", 495)}),
     "conv_int.geometric8_geometric8_n400": ("kernel", {"n": 400, "a": ("geometric", 8), "b": ("geometric", 8)}),
     "conv_int.flat70_geometric16_n400": ("kernel", {"n": 400, "a": ("flat", 70), "b": ("geometric", 16)}),
+    "conv_int.geometric16_square_n401": ("kernel", {"n": 401, "a": ("geometric", 16), "b": "a"}),
     # shaped like one step of the former j(4tau) ladder at q^3600: a product
     # and 40 elements q^-m + O(q), coefficient i of about 16 sqrt(i) bits,
     # combined with rational scalars
@@ -93,7 +95,7 @@ def run_case(kind: str, params: dict) -> dict:
         rng = random.Random(f"{params['a']}{params['b']}{params['n']}")
         make = {"flat": flat, "geometric": geometric}
         a = make[params["a"][0]](rng, params["n"], params["a"][1])
-        b = make[params["b"][0]](rng, params["n"], params["b"][1])
+        b = a if params["b"] == "a" else make[params["b"][0]](rng, params["n"], params["b"][1])
         best = float("inf")
         for _ in range(KERNEL_CALLS):
             t0 = time.perf_counter()

@@ -31,9 +31,11 @@ widen by it once (:func:`magforms.exprs.evaluate`).
 Multiplication is a short product: :func:`_conv_int` returns exactly the
 coefficients a product keeps (``mul`` its window, the Newton inverse each
 step's half) on the numerators, over the product of the denominators.  It
-multiplies by Kronecker substitution: each list is packed into one huge
-integer, one coefficient per slot, and the product is multiplied with gmpy2
-(GMP) when available and with Python ints otherwise.  The slot width is
+multiplies by Kronecker substitution at the two points +-2^h: the even- and
+odd-index coefficients of each list are packed into one huge integer each,
+one coefficient per slot of 2h bits, and the two half-length products are
+multiplied with gmpy2 (GMP) when available and with Python ints otherwise;
+their sum and difference hold the even and odd coefficients.  The slot width is
 bounded by what is read back: the largest bits(a_i) + bits(b_j) over
 i + j < n, plus bits(min(la, lb)) + 2.  When one operand's coefficients are
 more than four times as wide as the other's, the wide operand is split into
@@ -100,19 +102,25 @@ def _conv_int(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     The result is truncated, or padded with zeros, to exactly *n* entries.
     Short operands go through the schoolbook loop; an operand whose largest
     coefficient is much wider than the other's is split into limbs
-    (:func:`_conv_split`); everything else is one Kronecker product.
+    (:func:`_conv_split`); everything else is one Kronecker product,
+    evaluated at two points.
 
-    Kronecker substitution packs each list into one integer, a coefficient
-    per slot of ``width`` bits, and multiplies once.  Signed coefficients are
-    packed with an offset of 2^(width-1) per slot, written as a repeated
-    byte pattern so that no big division is needed.  Since
-    |c_k| <= min(la, lb) * max_{i+j=k} |a_i||b_j|, a slot of
-    ``max_{i+j<n} (bits(a_i) + bits(b_j)) + bits(min(la, lb)) + 2`` bits
-    holds every coefficient that is read back; the bound is never below
-    either operand's largest bit length + 2, so every input fits its slot
-    too.  The product is read modulo 2^(width*n): the slots at and above
-    *n* may overflow, but carries and borrows only move upward.  When
-    ``a is b`` the list is packed once and squared.
+    Kronecker substitution packs a list into one integer, a coefficient per
+    slot of ``width`` bits.  Signed coefficients are packed with an offset of
+    2^(width-1) per slot, written as a repeated byte pattern so that no big
+    division is needed.  Since |c_k| <= min(la, lb) * max_{i+j=k} |a_i||b_j|,
+    a slot of ``max_{i+j<n} (bits(a_i) + bits(b_j)) + bits(min(la, lb)) + 2``
+    bits holds every coefficient that is read back; the bound is never below
+    either operand's largest bit length + 2, so every input fits its slot too.
+
+    Packing the even-index and the odd-index coefficients apart, E and O, gives
+    a(+-2^h) = E +- 2^h O with h = width/2 (Harvey's KS2, J. Symbolic Comput.
+    44, 2009): two products P+ and P- of half the length of one.  Exactly,
+    (P+ + P-)/2 = sum_m c_2m 2^(width m) and (P+ - P-)/2^(h+1) =
+    sum_m c_(2m+1) 2^(width m); each is read modulo 2^(width slots) through
+    its ceil(n/2) or floor(n/2) slots, since the slots at and above *n* may
+    overflow, but carries and borrows only move upward.  When ``a is b`` both
+    evaluations are squared.
     """
     square = a is b
     a = a[:n]
@@ -143,7 +151,7 @@ def _conv_int(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     bprefix = list(accumulate(bbits, max))
     need = max(x + bprefix[min(lb, n - i) - 1] for i, x in enumerate(abits)) + log + 2
     nbytes = (need + 7) // 8
-    width = 8 * nbytes
+    width, h = 8 * nbytes, 4 * nbytes
     off = 1 << (width - 1)
     pattern = bytes(nbytes - 1) + b"\x80"  # little-endian bytes of `off`
 
@@ -151,14 +159,21 @@ def _conv_int(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         raw = b"".join((c + off).to_bytes(nbytes, "little") for c in cs)
         return _mpz(int.from_bytes(raw, "little") - int.from_bytes(pattern * len(cs), "little"))
 
-    pa = pack(a)
-    prod = pa * pa if square else pa * pack(b)
-    lifted = (prod + int.from_bytes(pattern * n, "little")) & ((1 << (width * n)) - 1)
-    raw = int(lifted).to_bytes(n * nbytes, "little")
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - off
-        for i in range(n)
-    ]
+    def evaluate(cs: Sequence[int]):  # cs(2^h) and cs(-2^h)
+        even, odd = pack(cs[0::2]), pack(cs[1::2]) << h
+        return even + odd, even - odd
+
+    def read(packed, slots: int) -> list[int]:
+        lifted = (packed + int.from_bytes(pattern * slots, "little")) & ((1 << (width * slots)) - 1)
+        raw = int(lifted).to_bytes(slots * nbytes, "little")
+        return [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") - off for i in range(slots)]
+
+    ap, am = evaluate(a)
+    bp, bm = (ap, am) if square else evaluate(b)
+    plus, minus = ap * bp, am * bm
+    out[0::2] = read((plus + minus) >> 1, (n + 1) // 2)
+    out[1::2] = read((plus - minus) >> (h + 1), n // 2)
+    return out
 
 
 def _conv_split(

@@ -296,6 +296,38 @@ def test_conv_int_same_sign_worst_case(s, la, lb, sign, data):
 
 
 @KERNEL
+@given(
+    st.randoms(use_true_random=False),
+    st.integers(_SCHOOLBOOK_CUTOFF + 1, 80),
+    st.integers(_SCHOOLBOOK_CUTOFF + 1, 80),
+    st.sampled_from(("even", "odd", "both")),
+    st.sampled_from(("even", "odd", "both")),
+    st.sampled_from(("random", "alternating", "positive")),
+    st.integers(1, 130),
+    st.booleans(),
+    st.data(),
+)
+def test_conv_int_parity_classes(rng, la, lb, a_support, b_support, shape, s, square, data):
+    """The two-point evaluation at +-2^h on operands living on one parity of
+    index, where P(2^h) = +-P(-2^h), and on the alternating worst case
+    a_i = (-1)^i (2^s - 1), which makes every |a(-2^h)| as large as it gets."""
+
+    def operand(length, support):
+        top = (1 << s) - 1
+        if shape == "random":
+            cs = [signed(rng, s) for _ in range(length)]
+        else:
+            cs = [(-1) ** i * top if shape == "alternating" else top for i in range(length)]
+        return [c if support in ("both", ("even", "odd")[i % 2]) else 0 for i, c in enumerate(cs)]
+
+    a = operand(la, a_support)
+    b = a if square else operand(lb, b_support)
+    total = len(a) + len(b)
+    n = data.draw(st.sampled_from((1, total - 2, total - 1, total, total + 1)) | st.integers(0, total + 3))
+    assert _conv_int(a, b, n) == schoolbook(a, b, n)
+
+
+@KERNEL
 @given(int_lists(), st.data())
 def test_conv_int_square_matches_copy(a, data):
     n = data.draw(st.integers(0, 2 * len(a) + 3))
