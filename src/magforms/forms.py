@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import isqrt
 
 from .series import PrecisionError, QSeries, UsageError, linear_combine, mul, widest_window
@@ -158,26 +159,28 @@ def _monomial(a: int, b: int, c: int, d: int, prec: int) -> QSeries:
     return (reduce(mul, factors) if factors else QSeries.one(work)).shift(d).truncate(prec)
 
 
+def _powers(x: QSeries, d: int) -> list:
+    """[1, x, ..., x^d], each power the previous one times x; the 1 is the series
+    one through max(x.prec, 0), a term for a combination, never a factor."""
+    return [QSeries.one(max(x.prec, 0))] + list(accumulate([x] * d, mul))
+
+
 def poly_in_j(coeffs_ascending, j: QSeries) -> QSeries:
-    """sum c_i j^i (integer or Fraction c_i) at the j series by Horner's rule from
-    the scaled c_d j, so degree d >= 1 loses d - 1 exponents of j."""
-    if not coeffs_ascending:
-        raise UsageError("empty polynomial")
-    *rest, top = coeffs_ascending
-    if not rest:
-        return QSeries.monomial(0, top, max(j.prec, 0))
-    acc = top * j
-    for c in reversed(rest[1:]):
-        acc = (acc + c) * j
-    return acc + rest[0]
+    """sum c_i j^i (integer or Fraction c_i) at the j series, one combination over
+    the powers of j, so degree d >= 1 loses d - 1 exponents of j."""
+    return linear_combine(list(zip(coeffs_ascending, _powers(j, len(coeffs_ascending) - 1))))
 
 
 def _homogenise(coeffs, work: int) -> QSeries:
-    """Delta^deg P(j) = sum c_i E4^(3i) Delta^(deg - i) through q^work, for
-    P = sum c_i j^i of degree deg; the terms with deg - i > work vanish there."""
+    """Delta^deg P(j) = sum c_i E4^(3i) Delta^(deg - i) through q^work, for P = sum c_i j^i
+    of degree deg, from powers of E4^3 and of Delta; terms with deg - i > work vanish."""
     deg = len(coeffs) - 1
-    terms = range(max(deg - work, 0), deg + 1)
-    return linear_combine([(coeffs[i], quasi_monomial(0, 3 * i, 0, work, deg - i)) for i in terms])
+    e4s = _powers(_monomial(0, 3, 0, 0, work), deg)
+    deltas = _powers(discriminant(work + 1), min(deg, work))
+    terms = [(coeffs[deg], e4s[deg])]
+    for i in range(max(deg - work, 0), deg):
+        terms.append((coeffs[i], deltas[deg - i] * e4s[i] if i else deltas[deg]))
+    return linear_combine(terms)
 
 
 @widest_window

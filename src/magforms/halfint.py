@@ -34,7 +34,7 @@ from .series import (
     linear_combine,
     widest_window,
 )
-from .forms import _monomial, e24, eisenstein, poly_in_j, quasi_monomial, theta
+from .forms import _monomial, _powers, e24, eisenstein, poly_in_j, quasi_monomial, theta
 
 
 class PlusSpaceError(SeriesError):
@@ -352,13 +352,13 @@ def _j_polys(k: int, m: int) -> dict:
     if m in table:
         return table[m]
     seeds = {r: _element(k, r, m) for r in rows}
+    js = _powers(_monomial(0, 3, 0, -1, m // 4), m // 4)  # j^i through q^(m // 4 - i + 1)
     for n in _admissible_pole_orders(k, m):
         if n in table:
             continue
         i, r = divmod(n, 4)
-        # (j^i)(4tau) through q^4 times f_r through q^(4i) reaches q^0
-        j_i = _monomial(0, 3, 0, -1, i) ** i
-        part = (j_i.substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
+        # (j^i)(4tau) through q^4 or beyond, times f_r through q^(4i), reaches q^0
+        part = (js[i].substitute_power(4) * seeds[r].truncate(4 * i)).truncate(0)
         terms = [(-part._get(-n2), polys) for n2, polys in table.items()] + [(1, {r: [0] * i + [1]})]
         table[n] = {
             g: _poly_sum(*([c * x for x in ps.get(g, ())] for c, ps in terms if c)) for g in rows
@@ -391,22 +391,18 @@ def _theta_form(k: int, row: dict, prec: int) -> QSeries:
     p, r = row.get(0, []), row.get(3, [])
     w = prec // 4
     if k == 0:
+        ap = [Fraction(x, -12) for x in r]
         yp = _poly_sum(p, [-88 * x for x in r], [0] + [Fraction(x, 12) for x in r])
-        d = max(len(yp), len(r) + 1) - 1
-        j = _monomial(0, 3, 0, -1, w + d)  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
-        if r:
-            a = poly_in_j([Fraction(x, -12) for x in r], j) * quasi_monomial(0, 1, 1, w + d - 1, -1)
-        else:
-            a = QSeries.zero(w)
-        y = poly_in_j(yp, j)
+        d = max(len(yp), len(r) + 1) - 1  # Y, P_3(j) E4 E6/Delta and E2 A reach q^w
     else:
-        ap = _poly_sum(p, [56 * x for x in r], [0] + [Fraction(-x, 12) for x in r]) or [0]
-        c = [0] + [Fraction(x, -12 * (i + 1)) for i, x in enumerate(r)]  # -C/12
-        d = max(len(ap), len(c)) - 1
-        j = _monomial(0, 3, 0, -1, w + d)  # A(j), C(j) and E2 A(j) reach q^w
-        a = poly_in_j(ap, j)
-        y = poly_in_j(c, j).delta()
-    return _theta_sums(eisenstein(2, w + d) * a + y, a, prec)
+        ap = _poly_sum(p, [56 * x for x in r], [0] + [Fraction(-x, 12) for x in r])
+        yp = [0] + [Fraction(x, -12 * (i + 1)) for i, x in enumerate(r)]  # -C/12
+        d = max(len(ap), len(yp)) - 1  # A(j), C(j) and E2 A(j) reach q^w
+    js = _powers(_monomial(0, 3, 0, -1, w + d), max(len(ap), len(yp)) - 1)
+    a, y = (linear_combine(list(zip(cs, js))) for cs in (ap or [0], yp))
+    if k == 0:
+        a = a * quasi_monomial(0, 1, 1, w + d - 1, -1) if r else QSeries.zero(w)
+    return _theta_sums(eisenstein(2, w + d) * a + (y if k == 0 else y.delta()), a, prec)
 
 
 @widest_window

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from magforms.exprs import evaluate
 from magforms.forms import (
     FormName,
+    _homogenise,
     discriminant,
     e24,
     eisenstein,
@@ -178,21 +179,53 @@ def test_divisions_by_e4_and_e6_powers_equal_plain_inverses(text, prec):
     assert _outcome(evaluate, text, prec) == _outcome(QUOTIENT_REFERENCES[text], prec)
 
 
+def _horner(coeffs, j):
+    """sum c_i j^i by Horner's rule from the scaled c_d j, the construction the
+    combination over a table of powers of j replaced."""
+    *rest, top = coeffs
+    if not rest:
+        return QSeries.monomial(0, top, max(j.prec, 0))
+    acc = top * j
+    for c in reversed(rest[1:]):
+        acc = (acc + c) * j
+    return acc + rest[0]
+
+
+_SCALARS = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, st.integers(-99, 99), st.sampled_from((1, 2, 12, 768))),
+)
+
+
 @pytest.mark.parametrize("degree", range(13))
-def test_poly_in_j_is_the_sum_of_powers_on_its_window(degree):
-    # Fraction and int coefficients; degree d >= 1 loses d - 1 exponents of j
-    rng = random.Random(degree)
-    coeffs = [Fraction(rng.randint(-99, 99), rng.choice((1, 2, 12, 768))) for _ in range(degree)]
-    coeffs.append(rng.choice((-1, 1)) * rng.randint(1, 9))
-    prec = 20
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_poly_in_j_is_the_sum_of_powers_on_its_window(degree, data):
+    # Fraction and int coefficients, a nonzero top one; degree d >= 1 loses d - 1
+    # exponents of j, so windows q^1..q^30 include ones shorter than the degree
+    coeffs = data.draw(st.lists(_SCALARS, min_size=degree, max_size=degree))
+    coeffs.append(data.draw(_SCALARS.filter(bool)))
+    prec = data.draw(st.integers(1, 30))
     value = poly_in_j(coeffs, j_invariant(prec))
     assert (value.lead, value.prec) == (-degree, prec - max(degree - 1, 0))
+    assert value == _horner(coeffs, j_invariant(prec))
     wide = j_invariant(prec + degree)
     power, terms = QSeries.one(prec + degree), []
     for c in coeffs:
         terms.append((c, power))
         power = power * wide
     assert value == linear_combine(terms).restrict(-degree, value.prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6), st.integers(0, 40))
+def test_homogenise_is_the_sum_of_its_monomials(coeffs, work):
+    # the per-term construction it replaced: E4^(3i) Delta^(deg - i) as one
+    # monomial each; zero coefficients, a zero top one and deg - i > work included
+    deg = len(coeffs) - 1
+    terms = range(max(deg - work, 0), deg + 1)
+    reference = linear_combine([(coeffs[i], quasi_monomial(0, 3 * i, 0, work, deg - i)) for i in terms])
+    assert _homogenise(coeffs, work) == reference
 
 
 @pytest.mark.parametrize("row", LIFT_TABLE, ids=lambda row: f"row{row.row_id}")
@@ -207,8 +240,8 @@ def test_j_quotient_matches_the_wide_j_construction(row):
 
 
 def _j_form_quotient(e, num, den, p, prec):
-    """E4^e num(j)/den(j)^p by the j-form construction: Horner's rule in the
-    Laurent series j, then a fresh inverse of den(j)^p."""
+    """E4^e num(j)/den(j)^p by the j-form construction: polynomials in the Laurent
+    series j, then a fresh inverse of den(j)^p."""
     j = j_invariant(prec)
     out = quasi_monomial(0, e, 0, prec) * poly_in_j(num, j)
     return (out * (poly_in_j(den, j) ** p).inverse()).truncate(prec)

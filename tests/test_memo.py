@@ -27,11 +27,13 @@ MEMOISED = (
         (forms._inverse_part, key, (-2, 60))
         for key in ((1, 0, 0), (3, 0, 0), (0, 2, 0), (2, 1, 0), (0, 0, 1), (0, 2, 1))
     ]
-    # (0, 3, 0, -1) is j; E4^(3i) Delta^(deg - i) are the homogenised j-polynomials' terms
+    # (0, 3, 0, -1) is j and (0, 3, 0, 0) the E4^3 whose powers build the homogenised
+    # j-polynomials; (0, 6, 0, 1) has positive exponents only
     + [
         (forms._monomial, key, (-2, 60))
         for key in (
-            (0, 3, 0, -1), (0, -2, 0, 1), (1, -1, 1, 0), (2, 2, 0, -2), (0, 0, 0, -3), (0, 6, 0, 1)
+            (0, 3, 0, -1), (0, -2, 0, 1), (1, -1, 1, 0), (2, 2, 0, -2), (0, 0, 0, -3), (0, 6, 0, 1),
+            (0, 3, 0, 0),
         )
     ]
     # the LS8, Triple8 and HK denominators (den, den_power)
