@@ -6,10 +6,12 @@ named forms, plus-space bases and quasi-modular sweeps.
 Times each case below against the ``magforms`` package under SRC (for
 example ``src`` of this checkout, or ``src`` of an older commit unpacked
 elsewhere) and stores the results under ``"before"`` or ``"after"`` in the
-JSON file OUT, keeping the other side if the file already has it.  When
-both sides are present each case also gets ``"after_over_before"``, the
-ratio of the medians.  Every side records the big-integer backend (gmpy2 or
-the pure-``int`` fallback), the Python version and the core count.
+JSON file OUT, keeping the other side if the file already has it.  Each run
+also records the peak resident memory of its interpreter (``peak_rss_mib``,
+stored as ``median_peak_rss_mib`` next to ``median_s``).  When both sides are
+present each case also gets ``"after_over_before"``, the ratio of the medians.
+Every side records the big-integer backend (gmpy2 or the pure-``int``
+fallback), the Python version and the core count.
 
 Each case runs in REPEATS fresh interpreters, so the memo caches of
 ``magforms.forms`` start empty.  Inputs are built before the
@@ -24,6 +26,7 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -172,7 +175,10 @@ def environment() -> dict:
 def child(src: str, name: str) -> int:
     sys.path.insert(0, os.path.abspath(src))
     kind, params = CASES[name]
-    print(json.dumps({"environment": environment(), "result": run_case(kind, params)}))
+    result = run_case(kind, params)
+    # the whole interpreter's peak, inputs included (ru_maxrss is in KiB on Linux)
+    result["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"environment": environment(), "result": result}))
     return 0
 
 

@@ -15,7 +15,7 @@ import sys
 
 from .series import PrecisionError, QSeries, SeriesError, UsageError
 from .cache import ENV_VAR, SeriesCache
-from .exprs import evaluate, normalize
+from .exprs import evaluate, normalize, parse_expression
 from .halfint import PLUS_FORM_NAMES, named_plus_form, plus_basis
 from .lifts import phi, psi
 from .quasi import (
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("lift", help="apply the half-integral to integral weight lift")
     p.add_argument("source", help="plus form name, basis:k=..,m=.., or JSON file")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None, help="default: the k the source names")
     p.add_argument("--prec", type=int, default=3600, help="input window for the lift")
     p.add_argument("--out", default=None)
 
@@ -141,9 +141,10 @@ def _load_source_series(source: str, k: int | None, prec: int):
     loaded = _read_series_file(source)
     if loaded is None:
         series = evaluate(source, prec)
-        if k is None:
+        node = parse_expression(source)
+        if k is None and node[0] != "basis":
             raise UsageError(f"source {source!r} needs an explicit --k")
-        return series, k
+        return series, node[1][0] if k is None else k  # basis:k=K,m=M names its k
     series, meta_k = loaded
     use_k = k if k is not None else meta_k
     if use_k is None:

@@ -47,6 +47,8 @@ width.
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -94,6 +96,21 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise UsageError(f"not an exact rational: {x!r}")
+
+
+@contextmanager
+def _unlimited_digits():
+    """Lift CPython's limit on int/str conversions for the block and restore it
+    after: the limit (4300 digits by default since 3.11 and 3.10.7; 3.10.0-3.10.6
+    have neither it nor its setter) is below the coefficients of deep windows."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _conv_int(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -508,11 +525,9 @@ class QSeries:
     # ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "lead": self.lead,
-            "prec": self.prec,
-            "coeffs": [str(c) for c in self._fractions()],
-        }
+        with _unlimited_digits():
+            coeffs = [str(c) for c in self._fractions()]
+        return {"lead": self.lead, "prec": self.prec, "coeffs": coeffs}
 
     def to_json(self) -> str:
         """Canonical (bit-exact) JSON encoding."""
@@ -520,7 +535,9 @@ class QSeries:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QSeries":
-        return cls(int(d["lead"]), [Fraction(s) for s in d["coeffs"]], int(d["prec"]))
+        with _unlimited_digits():
+            coeffs = [Fraction(s) for s in d["coeffs"]]
+        return cls(int(d["lead"]), coeffs, int(d["prec"]))
 
     @classmethod
     def from_json(cls, s: str) -> "QSeries":

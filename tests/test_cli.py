@@ -11,8 +11,8 @@ from magforms.cache import SeriesCache
 from magforms.cli import main
 from magforms.exprs import ParseError, _eval, evaluate, normalize, parse_expression
 from magforms.forms import eisenstein, named_form
-from magforms.halfint import named_plus_form
-from magforms.lifts import phi
+from magforms.halfint import named_plus_form, plus_basis
+from magforms.lifts import phi, psi
 from magforms.series import DomainError, QSeries, UsageError
 
 
@@ -312,6 +312,49 @@ def test_cli_lift_precision_shortfall_exit_code():
     # F4a starts at q^1, so window 0 is a shortfall (3), not a usage error (2)
     expanded = run_cli("expand", "F4a", "--prec", "0", "--no-cache")
     assert expanded.returncode == 3
+
+
+def test_cli_lift_basis_source_takes_its_own_k():
+    proc = run_cli("lift", "basis:k=2,m=3", "--prec", "40", "--no-cache")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == psi(plus_basis(2, [3], 40)[3].series, 2).to_json()
+
+
+def test_cli_expand_coefficients_past_4300_digits(tmp_path):
+    # CPython refuses int/str conversions past 4300 digits by default; the printed
+    # JSON and the cache entry both go through them
+    env = {"MAGFORMS_CACHE_DIR": str(tmp_path)}
+    first = run_cli("expand", "10^5000", "--prec", "0", env_extra=env)
+    assert first.returncode == 0, first.stderr
+    assert QSeries.from_json(first.stdout) == QSeries(0, [10**5000])
+    (entry,) = tmp_path.glob("*.json")
+    written = entry.stat()
+    second = run_cli("expand", "10^5000", "--prec", "0", env_extra=env)
+    assert second.returncode == 0 and second.stdout == first.stdout
+    # a miss would replace the entry with a new file; a hit leaves it alone
+    assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+
+
+def test_cli_lift_reads_coefficients_past_4300_digits(tmp_path):
+    big = plus_basis(2, [3], 40)[3].series * 10**5000
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"k": 2, "series": big.to_json_dict()}))
+    proc = run_cli("lift", str(src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == psi(big, 2).to_json()
+
+
+def test_json_round_trip_past_4300_digits_restores_the_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4400)
+    try:
+        big = QSeries(-1, [Fraction(10**5000, 3), 0, -(10**6000)])
+        assert QSeries.from_json(big.to_json()) == big
+        assert sys.get_int_max_str_digits() == 4400
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_cli_reduce():
