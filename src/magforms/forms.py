@@ -176,7 +176,7 @@ def _homogenise(coeffs, work: int) -> QSeries:
     of degree deg, from powers of E4^3 and of Delta; terms with deg - i > work vanish."""
     deg = len(coeffs) - 1
     e4s = _powers(_monomial(0, 3, 0, 0, work), deg)
-    deltas = _powers(discriminant(work + 1), min(deg, work))
+    deltas = _powers(discriminant(work + 1), min(deg, work))  # Delta needs q^1, even at work 0
     terms = [(coeffs[deg], e4s[deg])]
     for i in range(max(deg - work, 0), deg):
         terms.append((coeffs[i], deltas[deg - i] * e4s[i] if i else deltas[deg]))

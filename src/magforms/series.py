@@ -548,7 +548,8 @@ class QSeries:
         for n, c in enumerate(self._fractions(), self.lead):
             if c == 0:
                 continue
-            parts.append(f"{c}*q^{n}")
+            with _unlimited_digits():
+                parts.append(f"{c}*q^{n}")
             if len(parts) >= 6:
                 parts.append("...")
                 break

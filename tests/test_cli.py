@@ -352,6 +352,7 @@ def test_json_round_trip_past_4300_digits_restores_the_digit_limit():
     try:
         big = QSeries(-1, [Fraction(10**5000, 3), 0, -(10**6000)])
         assert QSeries.from_json(big.to_json()) == big
+        assert repr(big).startswith("QSeries([-1,1]: 1" + "0" * 5000 + "/3*q^-1 + -1")
         assert sys.get_int_max_str_digits() == 4400
     finally:
         sys.set_int_max_str_digits(old)
