@@ -1,6 +1,7 @@
 """Command line driver.
 
-Verbs: expand, verify, table1, congruence, misc, basis, lift, unlift, reduce.
+Verbs: expand, verify, table1, congruence, misc, basis, lift, unlift, reduce;
+each takes only the options its handler reads.
 Exit codes: 0 all checks pass, 1 a mathematical counterexample was found,
 2 usage or parse error or an unreadable or unwritable path, 3 precision
 shortfall.
@@ -15,7 +16,7 @@ import sys
 
 from .series import PrecisionError, QSeries, SeriesError, UsageError
 from .cache import ENV_VAR, SeriesCache
-from .exprs import evaluate, normalize, parse_expression
+from .exprs import ParseError, evaluate, normalize, parse_expression
 from .halfint import PLUS_FORM_NAMES, named_plus_form, plus_basis
 from .lifts import phi, psi
 from .quasi import (
@@ -39,35 +40,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="magforms",
         description="exact q-expansion computations and integrality verification",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit JSON reports")
-    common.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
-    common.add_argument(
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_parser(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)  # the handler main calls
+        return p
+
+    p = add_parser("expand", _cmd_expand, "expand an expression to a q-series")
+    p.add_argument("expression")
+    p.add_argument("--prec", type=int, default=None)
+    p.add_argument("--out", default=None, help="write canonical JSON to a file")
+    cache = p.add_mutually_exclusive_group()
+    cache.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
+    cache.add_argument(
         "--cache-dir",
         default=None,
         help=f"cache directory (default: ${ENV_VAR} or ~/.cache/magforms)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("expand", help="expand an expression to a q-series")
-    p.add_argument("expression")
-    p.add_argument("--prec", type=int, default=None)
-    p.add_argument("--out", default=None, help="write canonical JSON to a file")
-
-    p = add_parser("verify", help="run a theorem verification")
-    p.add_argument("which", choices=["th1", "th2", "w4", "w6", "th:w4", "th:w6"])
+    p = add_parser("verify", _cmd_verify, "run a theorem verification")
+    p.add_argument("--json", action="store_true", help="emit JSON reports")
+    p.add_argument("which", choices=["th1", "th2", "w4", "w6"])
     p.add_argument("--prec", type=int, default=1000)
 
-    p = add_parser("table1", help="verify the weight-4 lift table")
-    p.add_argument("--rows", default=None, help="comma separated row ids")
+    p = add_parser("table1", _cmd_table1, "verify the weight-4 lift table")
+    p.add_argument("--json", action="store_true", help="emit JSON reports")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--rows", default=None, help="comma separated row ids")
+    rows.add_argument("--extended", action="store_true", help="include the deep-pole rows")
     p.add_argument("--coeffs", type=int, default=60)
     p.add_argument("--magnetic-prec", type=int, default=500)
-    p.add_argument("--extended", action="store_true", help="include the deep-pole rows")
 
-    p = add_parser("congruence", help="divisibility and magnetic checks")
+    p = add_parser("congruence", _cmd_congruence, "divisibility and magnetic checks")
+    p.add_argument("--json", action="store_true", help="emit JSON reports")
     p.add_argument("form", help="a named form or a cuspidal expression")
     p.add_argument("--prime", type=int, default=None)
     p.add_argument("--n", type=int, default=1)
@@ -75,29 +81,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=1, help="antiderivative order")
     p.add_argument("--prec", type=int, default=1000)
 
-    p = add_parser("misc", help="raising relations, ODE checks, exponent families")
+    p = add_parser("misc", _cmd_misc, "raising relations, ODE checks, exponent families")
+    p.add_argument("--json", action="store_true", help="emit JSON reports")
     p.add_argument("--prec", type=int, default=800)
     p.add_argument("--family-prec", type=int, default=1000)
 
-    p = add_parser("basis", help="compute a plus-space basis element")
+    p = add_parser("basis", _cmd_basis, "compute a plus-space basis element")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--prec", type=int, default=100)
     p.add_argument("--out", default=None)
 
-    p = add_parser("lift", help="apply the half-integral to integral weight lift")
+    p = add_parser("lift", _cmd_lift, "apply the half-integral to integral weight lift")
     p.add_argument("source", help="plus form name, basis:k=..,m=.., or JSON file")
     p.add_argument("--k", type=int, default=None, help="default: the k the source names")
     p.add_argument("--prec", type=int, default=3600, help="input window for the lift")
     p.add_argument("--out", default=None)
 
-    p = add_parser("unlift", help="apply the reverse map")
+    p = add_parser("unlift", _cmd_lift, "apply the reverse map")
     p.add_argument("source", help="plus form name, JSON file, or expression")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--prec", type=int, default=100)
     p.add_argument("--out", default=None)
 
-    p = add_parser("reduce", help="reduce a weight 4 or 6 element to generators")
+    p = add_parser("reduce", _cmd_reduce, "reduce a weight 4 or 6 element to generators")
     p.add_argument("element", help="e.g. '3/2*f(1,-1,1) - f(0,1,0)'")
     p.add_argument("--prec", type=int, default=300)
     return parser
@@ -134,17 +141,22 @@ def _read_series_file(path: str):
 
 
 def _load_source_series(source: str, k: int | None, prec: int):
-    """Resolve a lift or unlift source: plus-form name, JSON file, or expression."""
+    """Resolve a lift or unlift source: plus-form name, JSON file, or expression.
+    An expression other than basis:k=K,m=M is evaluated only when k is given."""
     if source in PLUS_FORM_NAMES:
         form = named_plus_form(source, prec)
         return form.series, (form.k if k is None else k)
     loaded = _read_series_file(source)
     if loaded is None:
-        series = evaluate(source, prec)
-        node = parse_expression(source)
-        if k is None and node[0] != "basis":
-            raise UsageError(f"source {source!r} needs an explicit --k")
-        return series, node[1][0] if k is None else k  # basis:k=K,m=M names its k
+        if k is None:
+            try:  # the parser recurses per level of nesting
+                node = parse_expression(source)
+            except RecursionError:
+                raise ParseError("expression nested too deeply") from None
+            if node[0] != "basis":
+                raise UsageError(f"source {source!r} needs an explicit --k")
+            k = node[1][0]  # basis:k=K,m=M names its k
+        return evaluate(source, prec), k
     series, meta_k = loaded
     use_k = k if k is not None else meta_k
     if use_k is None:
@@ -168,6 +180,44 @@ def _cmd_expand(args) -> int:
     return EXIT_PASS
 
 
+def _cmd_verify(args) -> int:
+    return _emit_report(verify_theorem(args.which, args.prec), args)
+
+
+def _cmd_table1(args) -> int:
+    rows = None
+    if args.rows:
+        try:
+            rows = [int(r) for r in args.rows.split(",") if r.strip()]
+        except ValueError:
+            raise UsageError(
+                f"--rows needs comma separated row ids, got {args.rows!r}"
+            ) from None
+    report = verify_table1(
+        rows,
+        lift_coeffs=args.coeffs,
+        magnetic_prec=args.magnetic_prec,
+        extended=args.extended,
+    )
+    return _emit_report(report, args)
+
+
+def _cmd_congruence(args) -> int:
+    from .verify import _HALF_INTEGRAL, _INTEGRAL_FORMS, verify_magnetic_expression
+
+    if args.form in _INTEGRAL_FORMS or args.form in _HALF_INTEGRAL:
+        if args.prime is None:
+            raise UsageError("named-form congruences need --prime")
+        report = verify_congruence(args.form, args.prime, args.n, args.power, args.prec)
+    else:
+        report = verify_magnetic_expression(args.form, args.prec, args.order, args.prime)
+    return _emit_report(report, args)
+
+
+def _cmd_misc(args) -> int:
+    return _emit_report(verify_misc(args.prec, args.family_prec), args)
+
+
 def _cmd_basis(args) -> int:
     basis = plus_basis(args.k, [args.m], args.prec)
     form = basis[args.m]
@@ -182,14 +232,10 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    """lift applies psi to its source, unlift applies phi."""
     series, k = _load_source_series(args.source, args.k, args.prec)
-    _emit(psi(series, k).to_json(), args)
-    return EXIT_PASS
-
-
-def _cmd_unlift(args) -> int:
-    series, k = _load_source_series(args.source, args.k, args.prec)
-    _emit(phi(series, k).to_json(), args)
+    lift = psi if args.command == "lift" else phi
+    _emit(lift(series, k).to_json(), args)
     return EXIT_PASS
 
 
@@ -218,56 +264,9 @@ def _cmd_reduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "verify":
-            return _emit_report(verify_theorem(args.which, args.prec), args)
-        if args.command == "table1":
-            rows = None
-            if args.rows:
-                try:
-                    rows = [int(r) for r in args.rows.split(",") if r.strip()]
-                except ValueError:
-                    raise UsageError(
-                        f"--rows needs comma separated row ids, got {args.rows!r}"
-                    ) from None
-            return _emit_report(
-                verify_table1(
-                    rows,
-                    lift_coeffs=args.coeffs,
-                    magnetic_prec=args.magnetic_prec,
-                    extended=args.extended,
-                ),
-                args,
-            )
-        if args.command == "congruence":
-            from .verify import _HALF_INTEGRAL, _INTEGRAL_FORMS, verify_magnetic_expression
-
-            if args.form in _INTEGRAL_FORMS or args.form in _HALF_INTEGRAL:
-                if args.prime is None:
-                    raise UsageError("named-form congruences need --prime")
-                rep = verify_congruence(
-                    args.form, args.prime, args.n, args.power, args.prec
-                )
-            else:
-                rep = verify_magnetic_expression(
-                    args.form, args.prec, args.order, args.prime
-                )
-            return _emit_report(rep, args)
-        if args.command == "misc":
-            return _emit_report(verify_misc(args.prec, args.family_prec), args)
-        if args.command == "basis":
-            return _cmd_basis(args)
-        if args.command == "lift":
-            return _cmd_lift(args)
-        if args.command == "unlift":
-            return _cmd_unlift(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except PrecisionError as exc:
         print(f"precision error: {exc}", file=sys.stderr)
         return EXIT_PRECISION

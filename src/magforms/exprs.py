@@ -45,7 +45,6 @@ _TOKEN_RE = re.compile(
 )
 
 _FORM_NAMES = {f.value for f in FormName}
-_FUNCTIONS = {"delta", "antiderivative", "dilate", "f"}
 
 
 def _tokenize(text: str):

@@ -82,7 +82,6 @@ def _sweep(weight: int):
 
 
 def verify_theorem(which: str, prec: int = 2000) -> VerificationReport:
-    which = {"th:w4": "w4", "th:w6": "w6"}.get(which, which)
     report = VerificationReport(f"verify:{which}", {"prec": prec})
     with ReportTimer(report):
         if which == "th1":

@@ -179,12 +179,12 @@ def test_cli_parse_error_exit_code():
 @pytest.mark.parametrize(
     "args, code",
     [
-        (("expand", "(" * 200 + "q" + ")" * 200, "--prec", "5"), 2),
-        (("expand", "+".join(["q"] * 5000), "--prec", "5"), 0),
+        (("expand", "(" * 200 + "q" + ")" * 200, "--prec", "5", "--no-cache"), 2),
+        (("expand", "+".join(["q"] * 5000), "--prec", "5", "--no-cache"), 0),
         (("reduce", "(" * 1200 + "f(0,1,0)" + ")" * 1200), 2),
         (("reduce", "+".join(["f(0,1,0)"] * 5000)), 0),
         (("congruence", "(" * 1200 + "Delta" + ")" * 1200, "--prec", "20"), 2),
-        (("expand", "delta(E4, 7)", "--prec", "5"), 2),
+        (("expand", "delta(E4, 7)", "--prec", "5", "--no-cache"), 2),
     ],
     ids=["nested200", "sum5000", "reduce_nested1200", "reduce_sum5000", "congruence_nested1200",
          "delta_arg"],
@@ -193,7 +193,7 @@ def test_cli_deep_long_or_malformed_expression_exit_code(args, code):
     # the parser and evaluation recurse per nesting level: too deep a nesting is a
     # usage error, reported on one line without a traceback, as is a malformed
     # call; a run of + and - is one node, so a sum of any length evaluates
-    proc = run_cli(*args, "--no-cache")
+    proc = run_cli(*args)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     if code:
@@ -282,7 +282,7 @@ def test_cli_basis_metadata():
 
 
 def test_cli_lift_unlift_round_trip(tmp_path):
-    lifted = run_cli("lift", "f4a", "--prec", "900", "--no-cache")
+    lifted = run_cli("lift", "f4a", "--prec", "900")
     assert lifted.returncode == 0
     series = QSeries.from_json_dict(json.loads(lifted.stdout))
     target = named_form("F4a", series.prec)
@@ -315,9 +315,21 @@ def test_cli_lift_precision_shortfall_exit_code():
 
 
 def test_cli_lift_basis_source_takes_its_own_k():
-    proc = run_cli("lift", "basis:k=2,m=3", "--prec", "40", "--no-cache")
+    proc = run_cli("lift", "basis:k=2,m=3", "--prec", "40")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == psi(plus_basis(2, [3], 40)[3].series, 2).to_json()
+
+
+def test_cli_lift_checks_k_before_it_evaluates_its_source(tmp_path, monkeypatch, capsys):
+    # an expression other than basis:k=K,m=M names no k; the window is not built first
+    monkeypatch.chdir(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the source was evaluated")
+
+    monkeypatch.setattr("magforms.cli.evaluate", refuse)
+    assert main(["lift", "F4a"]) == 2
+    assert capsys.readouterr().err == "error: source 'F4a' needs an explicit --k\n"
 
 
 def test_cli_expand_coefficients_past_4300_digits(tmp_path):
@@ -398,3 +410,46 @@ def test_cli_unwritable_path_exit_code(tmp_path, args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+# a command line each verb accepts, and which of --json, --no-cache and --cache-dir it reads
+_VERBS = {
+    "expand": (("expand", "q"), ("--no-cache", "--cache-dir")),
+    "verify": (("verify", "th1", "--prec", "10"), ("--json",)),
+    "table1": (("table1", "--rows", "1", "--coeffs", "5", "--magnetic-prec", "20"), ("--json",)),
+    "congruence": (("congruence", "Delta", "--prime", "5", "--prec", "10"), ("--json",)),
+    "misc": (("misc", "--prec", "20", "--family-prec", "20"), ("--json",)),
+    "basis": (("basis", "--k", "2", "--m", "3", "--prec", "10"), ()),
+    "lift": (("lift", "f4a", "--prec", "10"), ()),
+    "unlift": (("unlift", "Delta", "--k", "2", "--prec", "10"), ()),
+    "reduce": (("reduce", "f(2,0,0) - f(0,1,0)"), ()),
+}
+_IGNORED = [
+    (verb, option)
+    for verb, (_, reads) in _VERBS.items()
+    for option in (("--json",), ("--no-cache",), ("--cache-dir", "{tmp}"))
+    if option[0] not in reads
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [_VERBS[verb][0] + option for verb, option in _IGNORED]
+    + [
+        ("verify", "th:w4", "--prec", "10"),
+        ("verify", "th:w6", "--prec", "10"),
+        ("table1", "--rows", "1", "--extended"),
+        ("expand", "q", "--no-cache", "--cache-dir", "{tmp}"),
+    ],
+    ids=[f"{verb}{option[0]}" for verb, option in _IGNORED]
+    + ["verify_th:w4", "verify_th:w6", "table1_rows_extended", "expand_no_cache_cache_dir"],
+)
+def test_cli_option_its_verb_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, args):
+    # each verb declares only the options it reads; the parser refuses any other, and
+    # options that cancel each other, with exit 2 and its usage message
+    monkeypatch.setenv("MAGFORMS_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tmp=tmp_path) for a in args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: magforms") and "Traceback" not in err
