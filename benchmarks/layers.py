@@ -1,22 +1,23 @@
 """Layer benchmark for magforms: the series kernel, combination, inversion,
 named forms, plus-space bases and quasi-modular sweeps.
 
-    python3 benchmarks/layers.py --src SRC --side before|after --out BENCH.json
+    python3 benchmarks/layers.py --before OLD/src --after src --out BENCH.json
 
-Times each case below against the ``magforms`` package under SRC (for
-example ``src`` of this checkout, or ``src`` of an older commit unpacked
-elsewhere) and stores the results under ``"before"`` or ``"after"`` in the
-JSON file OUT, keeping the other side if the file already has it.  Each run
-also records the peak resident memory of its interpreter (``peak_rss_mib``,
-stored as ``median_peak_rss_mib`` next to ``median_s``).  When both sides are
-present each case also gets ``"after_over_before"``, the ratio of the medians.
-Every side records the big-integer backend (gmpy2 or the pure-``int``
-fallback), the Python version and the core count.
+Times each case below against the ``magforms`` package under each of the two
+source trees (for example ``src`` of an older commit unpacked elsewhere, and
+``src`` of this checkout) and writes the results under ``"before"`` and
+``"after"`` in the JSON file OUT.  Each run also records the peak resident
+memory of its interpreter (``peak_rss_mib``, stored as
+``median_peak_rss_mib`` next to ``median_s``), and each case gets
+``"after_over_before"``, the ratio of the medians.  Every side records the
+big-integer backend (gmpy2 or the pure-``int`` fallback), the Python version
+and the core count.
 
-Each case runs in REPEATS fresh interpreters, so the memo caches of
-``magforms.forms`` start empty.  Inputs are built before the
-clock starts; the kernel cases time the best of KERNEL_CALLS calls inside one
-interpreter.
+Each case runs in REPEATS fresh interpreters per side, so the memo caches of
+``magforms.forms`` start empty.  The two sides alternate, before, after,
+after, before, ..., so a drift in the machine's speed falls on both.  Inputs
+are built before the clock starts; the kernel cases time the best of
+KERNEL_CALLS calls inside one interpreter.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def environment() -> dict:
     }
 
 
-def child(src: str, name: str) -> int:
+def child(name: str, src: str) -> int:
     sys.path.insert(0, os.path.abspath(src))
     kind, params = CASES[name]
     result = run_case(kind, params)
@@ -182,46 +183,48 @@ def child(src: str, name: str) -> int:
     return 0
 
 
-def measure(src: str, name: str) -> tuple[dict, dict]:
-    runs, env = [], {}
-    for _ in range(REPEATS):
-        argv = [sys.executable, os.path.abspath(__file__), "--src", src, "--child", name]
+def measure(srcs: dict, name: str) -> tuple[dict, dict]:
+    """Summaries and environments of case *name* by side, its fresh
+    interpreters run in the order before, after, after, before, ..."""
+    runs = {side: [] for side in srcs}
+    envs = {}
+    for i in range(2 * REPEATS):
+        side = ("before", "after")[(i + 1) // 2 % 2]
+        argv = [sys.executable, os.path.abspath(__file__), "--child", name, srcs[side]]
         proc = subprocess.run(argv, capture_output=True, text=True, check=True)
         out = json.loads(proc.stdout.strip().splitlines()[-1])
-        env = out["environment"]
-        runs.append(out["result"])
-    summary = {"params": CASES[name][1], "runs": runs}
-    for key in runs[0]:
-        summary[f"median_{key}"] = statistics.median(r[key] for r in runs)
-    return summary, env
+        envs[side] = out["environment"]
+        runs[side].append(out["result"])
+    summaries = {}
+    for side, side_runs in runs.items():
+        summary = {"params": CASES[name][1], "runs": side_runs}
+        for key in side_runs[0]:
+            summary[f"median_{key}"] = statistics.median(r[key] for r in side_runs)
+        summaries[side] = summary
+    return summaries, envs
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", required=True, help="directory holding the magforms package")
-    parser.add_argument("--side", choices=("before", "after"))
+    parser.add_argument("--before", help="directory holding the baseline magforms package")
+    parser.add_argument("--after", help="directory holding the magforms package to compare")
     parser.add_argument("--out")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, metavar=("CASE", "SRC"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        return child(args.src, args.child)
-    if not args.side or not args.out:
-        parser.error("--side and --out are required")
+        return child(*args.child)
+    if not (args.before and args.after and args.out):
+        parser.error("--before, --after and --out are required")
 
-    bench = {}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench.setdefault("harness", "benchmarks/layers.py")
-    bench.setdefault("cases", {})
+    srcs = {"before": args.before, "after": args.after}
+    bench = {"harness": "benchmarks/layers.py", "cases": {}}
     for name in CASES:
-        summary, env = measure(args.src, name)
-        bench.setdefault(args.side, {})["environment"] = env
-        case = bench["cases"].setdefault(name, {})
-        case[args.side] = summary
-        if "before" in case and "after" in case:
-            case["after_over_before"] = case["after"]["median_s"] / case["before"]["median_s"]
-        print(f"{args.side} {name}: median {summary['median_s']:.4f} s over {len(summary['runs'])} run(s)", flush=True)
+        case, envs = measure(srcs, name)
+        before, after = case["before"]["median_s"], case["after"]["median_s"]
+        case["after_over_before"] = after / before
+        bench["cases"][name] = case
+        bench.update((side, {"environment": env}) for side, env in envs.items())
+        print(f"{name}: before {before:.4f} s, after {after:.4f} s", flush=True)
         with open(args.out, "w") as fh:
             json.dump(bench, fh, indent=1, sort_keys=True)
             fh.write("\n")
